@@ -16,8 +16,13 @@
 
 use interlag_conformance::assert_matches_golden;
 use interlag_device::dvfs::{FixedGovernor, Governor};
-use interlag_device::{CaptureMode, Device, DeviceConfig, InteractionCategory, RunArtifacts};
-use interlag_evdev::gesture::HardKey;
+use interlag_device::script::{BackgroundWork, PeriodicTick};
+use interlag_device::{
+    CaptureMode, Device, DeviceConfig, DeviceScript, InteractionCategory, InteractionSpec, Phase,
+    RunArtifacts, Scene, SceneUpdate, TaskSpec,
+};
+use interlag_evdev::gesture::{Gesture, HardKey};
+use interlag_evdev::mt::Point;
 use interlag_evdev::replay::{ReplayAgent, SendeventReplayer};
 use interlag_evdev::rng::SplitMix64;
 use interlag_evdev::time::{SimDuration, SimTime};
@@ -27,6 +32,7 @@ use interlag_governors::{
     Conservative, FrequencyPlan, Interactive, Ondemand, PlanGovernor, Schedutil,
 };
 use interlag_power::opp::{Frequency, OppTable};
+use interlag_video::frame::Rect;
 use interlag_workloads::gen::{Workload, WorkloadBuilder, MCYCLES};
 use interlag_workloads::Dataset;
 
@@ -79,6 +85,46 @@ fn builder_session(seed: u64) -> Workload {
         SimDuration::from_secs(20),
     );
     b.build(&format!("builder-{seed}"), "golden builder session")
+}
+
+/// Interactions whose I/O waits end without a visible update, under
+/// long background work: the blocked task's resume is the only event at
+/// the end of each wait.
+fn silent_waits_session() -> Workload {
+    let widget = Rect::new(10, 20, 30, 30);
+    let interaction = |i: u64| InteractionSpec {
+        label: format!("silent wait {i}"),
+        start: SimTime::from_millis(700 + 2_900 * i),
+        gesture: Gesture::tap(Point::new(20, 30)),
+        widget: Some(widget),
+        response: Some(TaskSpec::new(vec![
+            Phase::with_wait(3_000_000, SimDuration::from_micros(450_500), SceneUpdate::Nop),
+            Phase::with_wait(
+                2_000_000 + 1_000_000 * i,
+                SimDuration::from_millis(90),
+                SceneUpdate::Nop,
+            ),
+            Phase::new(5_000_000, SceneUpdate::replace(Scene::new(100 + i).with_cursor())),
+        ])),
+        category: InteractionCategory::Common,
+    };
+    let script = DeviceScript {
+        interactions: (0..4).map(interaction).collect(),
+        background: (0..4)
+            .map(|i| BackgroundWork {
+                label: format!("bg {i}"),
+                start: SimTime::from_millis(500 + 3_000 * i),
+                cycles: 900_000_000,
+            })
+            .collect(),
+        tick: Some(PeriodicTick { period: SimDuration::from_millis(170), cycles: 400_000 }),
+    };
+    Workload {
+        name: "silent-waits".into(),
+        description: "waits without visible updates".into(),
+        script,
+        duration: SimDuration::from_secs(13),
+    }
 }
 
 fn workloads() -> Vec<Workload> {
@@ -220,4 +266,11 @@ fn odd_quantum_runs_match_golden_digests() {
     let lines =
         workload_lines(&w, &CAPTURES[1..2], &["agent", "faulty"], SimDuration::from_millis(3));
     assert_matches_golden("device_runs_q3ms.txt", &lines);
+}
+
+#[test]
+fn silent_wait_runs_match_golden_digests() {
+    let w = silent_waits_session();
+    let lines = workload_lines(&w, &CAPTURES[..2], &["agent"], MS);
+    assert_matches_golden("device_runs_silent_waits.txt", &lines);
 }
