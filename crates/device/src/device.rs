@@ -9,9 +9,19 @@
 //! complete, and the HDMI tap captures the video — while frequency/load
 //! traces accumulate for the energy model.
 //!
-//! The loop advances in 1 ms quanta: well below the 33 ms frame period and
+//! Time is measured in 1 ms quanta: well below the 33 ms frame period and
 //! the 20 ms governor sampling period, so every externally visible timing
-//! is accurate to a fraction of the measurement resolution.
+//! is accurate to a fraction of the measurement resolution. The loop does
+//! not visit every quantum, though. Each iteration computes an **event
+//! horizon** — the first quantum boundary at which any of its checks
+//! (input poll, scripted work, system tick, spinner render spawn, I/O
+//! resume, deferred scene update, governor sample, frame capture,
+//! decoration change) could fire — and, when the core would run one task
+//! without finishing a phase or sit idle until then, covers all those
+//! quanta in one step. The result is identical to stepping each quantum:
+//! activity samples of equal frequency merge anyway, busy time and cycle
+//! counts are exact integer multiples, and every poll, sample, repaint and
+//! frame lands in the same quantum as it would have.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -36,9 +46,11 @@ use crate::scene::Scene;
 use crate::script::{DeviceScript, InteractionCategory};
 use crate::task::{Task, TaskKind, TaskSpec};
 
-/// How many quanta the execution loop runs between watchdog polls. At the
-/// default 1 ms quantum this bounds cancellation latency to 64 ms of
-/// simulated work per poll — far below any sensible rep deadline.
+/// How many quanta the multi-core [`crate::cluster::ClusterDevice`] loop
+/// runs between watchdog polls; at the default 1 ms quantum that is 64 ms
+/// of simulated work per poll. The single-core [`Device`] loop polls once
+/// per iteration instead: an iteration may jump over many quanta, so a
+/// poll keyed to the quantum count could be skipped indefinitely.
 pub const CANCEL_STRIDE: u64 = 64;
 
 /// How the screen output is captured during a run.
@@ -213,9 +225,9 @@ impl Device {
     }
 
     /// Like [`Device::run`], with a watchdog token polled cooperatively in
-    /// the quantum loop (every [`CANCEL_STRIDE`] quanta, so a wedged
-    /// governor cannot stall a sweep for longer than its deadline plus one
-    /// stride).
+    /// the execution loop (once per iteration, before it steps or jumps,
+    /// so a wedged governor cannot stall a sweep for longer than its
+    /// deadline plus one stalled governor sample).
     ///
     /// # Errors
     ///
@@ -353,17 +365,17 @@ impl Device {
         let mut pending_updates: Vec<(SimTime, crate::scene::SceneUpdate, TaskKind, bool)> =
             Vec::new();
 
+        // The first quantum boundary at or after `t`: the iteration in
+        // which a check against `t` first passes.
+        let q_us = quantum.as_micros();
+        let boundary = |t: SimTime| SimTime::from_micros(t.as_micros().div_ceil(q_us) * q_us);
+
         let mut now = SimTime::ZERO;
-        let mut quanta = 0u64;
         while now < until {
-            // Watchdog poll, strided so the common (no-watchdog) case costs
-            // one branch per CANCEL_STRIDE quanta and deadline tokens read
-            // the clock rarely.
-            if quanta.is_multiple_of(CANCEL_STRIDE) && cancel.is_cancelled() {
+            // Watchdog poll, once per iteration and so before every jump.
+            if cancel.is_cancelled() {
                 return Err(DeviceError::Cancelled);
             }
-            quanta += 1;
-            let qend = now + quantum;
 
             // 1. Deliver input events due by `now`.
             for te in replayer.poll(now) {
@@ -452,10 +464,11 @@ impl Device {
                 }
             }
 
-            // 4b. Apply scene updates whose I/O wait has elapsed.
+            // 4b. Apply scene updates whose I/O wait has elapsed by the end
+            // of this quantum.
             if !pending_updates.is_empty() {
                 pending_updates.sort_by_key(|(at, ..)| *at);
-                while pending_updates.first().is_some_and(|(at, ..)| *at <= qend) {
+                while pending_updates.first().is_some_and(|(at, ..)| *at <= now + quantum) {
                     let (at, update, kind, task_finished) = pending_updates.remove(0);
                     if scene.apply(&update) {
                         dirty = true;
@@ -470,72 +483,121 @@ impl Device {
                 }
             }
 
-            // 4c. Execute the quantum.
+            // 4c. The event horizon: the first quantum boundary at which a
+            // check above could fire again (start-of-quantum checks) or one
+            // below could (end-of-quantum checks). Every quantum before it
+            // runs at the same frequency on the same scene and screen; if
+            // the front task also cannot finish a phase by then (or the
+            // core is idle), all of them are one step.
             let budget = freq.cycles_in(quantum);
-            let khz = khz_of(freq);
-            let mut consumed = 0u64;
-            while consumed < budget {
-                let from_fg = !fg.is_empty();
-                let queue = if from_fg { &mut fg } else { &mut bg };
-                let Some(task) = queue.front_mut() else { break };
-                let before = consumed;
-                let (c, completions) = task.advance(budget - consumed);
-                consumed += c;
-                let finished = task.is_finished();
-                let blocked = Task::blocked_after(&completions);
-                let mut block_at = SimTime::ZERO;
-                for comp in completions {
-                    let at = before + comp.at_consumed_cycles;
-                    let ts = now + SimDuration::from_micros((at * 1_000).div_ceil(khz));
-                    if comp.wait.is_zero() {
-                        if scene.apply(&comp.update) {
-                            dirty = true;
-                        }
-                        match comp.kind {
-                            TaskKind::Foreground { id } if comp.task_finished => {
-                                if let Some(rec) = interactions.get_mut(id) {
-                                    rec.service_time = Some(ts.min(qend));
-                                }
-                            }
-                            TaskKind::UiRender if comp.task_finished => {
-                                spinner_frame += 1;
-                                if scene.spinner {
-                                    dirty = true;
-                                }
-                            }
-                            _ => {}
-                        }
-                    } else {
-                        // The update (and, for final phases, the service
-                        // point) becomes visible only after the wait.
-                        let visible_at = ts.min(qend) + comp.wait;
-                        block_at = visible_at;
-                        pending_updates.push((
-                            visible_at,
-                            comp.update,
-                            comp.kind,
-                            comp.task_finished,
-                        ));
-                    }
-                }
-                if finished {
-                    queue.pop_front();
-                } else if blocked.is_some() {
-                    if let Some(task) = queue.pop_front() {
-                        parked.push((block_at, task));
-                    }
-                } else if c == 0 {
-                    break; // cannot happen, but never spin
+            let mut steps = 1;
+            // A sample due by the end of this quantum (every quantum, for
+            // the oracle's 1 ms plan governor) leaves nothing to jump.
+            if !dirty && budget > 0 && next_sample_at > now + quantum {
+                let due = [
+                    replayer.next_due(),
+                    script.background.get(next_bg).map(|b| b.start),
+                    next_tick_at,
+                    scene.spinner.then_some(next_render_spawn),
+                    parked.iter().map(|(at, _)| *at).min(),
+                    // Applied in the quantum that ends at or after `at`.
+                    pending_updates.iter().map(|(at, ..)| *at - quantum).min(),
+                    Some(next_sample_at),
+                    video.is_some().then_some(next_frame_at),
+                    Some(DecorationState::next_change(now, &scene)),
+                ];
+                let first = due.into_iter().flatten().fold(until, SimTime::min);
+                steps = boundary(first).saturating_since(now).as_micros() / q_us;
+                if let Some(task) = fg.front().or(bg.front()) {
+                    steps = steps.min((task.remaining_in_phase() - 1) / budget);
                 }
             }
-            let busy = if consumed >= budget {
-                quantum
+            let qend = now + quantum * steps.max(1);
+
+            // 4d. Execute: jump over `steps` uneventful quanta, or run one.
+            let busy = if steps > 1 {
+                let span = qend - now;
+                let busy = match fg.front_mut().or(bg.front_mut()) {
+                    Some(task) => {
+                        let (consumed, completions) = task.advance(budget * steps);
+                        debug_assert!(consumed == budget * steps && completions.is_empty());
+                        span
+                    }
+                    None => SimDuration::ZERO,
+                };
+                if !scene.spinner {
+                    // Each skipped quantum that reached the spinner-off grid
+                    // point moved it one period past its own start.
+                    while next_render_spawn <= qend - quantum {
+                        next_render_spawn =
+                            boundary(next_render_spawn) + crate::render::SPINNER_FRAME_PERIOD;
+                    }
+                }
+                busy
             } else {
-                SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
+                let khz = khz_of(freq);
+                let mut consumed = 0u64;
+                while consumed < budget {
+                    let from_fg = !fg.is_empty();
+                    let queue = if from_fg { &mut fg } else { &mut bg };
+                    let Some(task) = queue.front_mut() else { break };
+                    let before = consumed;
+                    let (c, completions) = task.advance(budget - consumed);
+                    consumed += c;
+                    let finished = task.is_finished();
+                    let blocked = Task::blocked_after(&completions);
+                    let mut block_at = SimTime::ZERO;
+                    for comp in completions {
+                        let at = before + comp.at_consumed_cycles;
+                        let ts = now + SimDuration::from_micros((at * 1_000).div_ceil(khz));
+                        if comp.wait.is_zero() {
+                            if scene.apply(&comp.update) {
+                                dirty = true;
+                            }
+                            match comp.kind {
+                                TaskKind::Foreground { id } if comp.task_finished => {
+                                    if let Some(rec) = interactions.get_mut(id) {
+                                        rec.service_time = Some(ts.min(qend));
+                                    }
+                                }
+                                // The new animation frame reaches the
+                                // screen through the decoration state.
+                                TaskKind::UiRender if comp.task_finished => spinner_frame += 1,
+                                _ => {}
+                            }
+                        } else {
+                            // The update (and, for final phases, the service
+                            // point) becomes visible only after the wait.
+                            let visible_at = ts.min(qend) + comp.wait;
+                            block_at = visible_at;
+                            pending_updates.push((
+                                visible_at,
+                                comp.update,
+                                comp.kind,
+                                comp.task_finished,
+                            ));
+                        }
+                    }
+                    if finished {
+                        queue.pop_front();
+                    } else if blocked.is_some() {
+                        if let Some(task) = queue.pop_front() {
+                            parked.push((block_at, task));
+                        }
+                    } else if c == 0 {
+                        break; // cannot happen, but never spin
+                    }
+                }
+                if consumed >= budget {
+                    quantum
+                } else {
+                    SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
+                }
             };
 
-            // 5. Account the quantum.
-            activity.push(ActivitySample { start: now, duration: quantum, freq, busy });
+            // 5. Account the step (one merged sample, as per-quantum
+            // samples of one frequency would merge into).
+            activity.push(ActivitySample { start: now, duration: qend - now, freq, busy });
             busy_acc += busy;
 
             // 6. Governor sampling.
@@ -551,13 +613,16 @@ impl Device {
                 next_sample_at = qend + governor.sample_period();
             }
 
-            // 7. Repaint if the scene or a decoration changed.
+            // 7. Repaint if the scene changed; if only a decoration did,
+            // repaint just the decorations that changed.
             let new_deco = DecorationState::at(qend, &scene, spinner_frame);
-            if dirty || new_deco != deco {
-                deco = new_deco;
-                screen = Arc::new(self.renderer.render(&scene, &deco));
+            if dirty {
+                screen = Arc::new(self.renderer.render(&scene, &new_deco));
                 dirty = false;
+            } else if new_deco != deco {
+                screen = Arc::new(self.renderer.redecorate(&screen, &scene, &deco, &new_deco));
             }
+            deco = new_deco;
 
             // 8. Capture frames due in this quantum.
             if let Some(video) = video.as_mut() {
@@ -671,7 +736,7 @@ impl Default for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dvfs::FixedGovernor;
+    use crate::dvfs::{FixedGovernor, LoadSample};
     use crate::scene::SceneUpdate;
     use crate::script::{BackgroundWork, InteractionSpec, PeriodicTick};
     use interlag_evdev::gesture::Gesture;
@@ -909,6 +974,60 @@ mod tests {
             )
             .expect_err("pre-fired token must abort the run");
         assert_eq!(err, DeviceError::Cancelled);
+    }
+
+    /// Fires a shared token from its first sample at or after `at`, and
+    /// counts the samples it still receives afterwards.
+    struct CancelAt {
+        token: CancelToken,
+        at: SimTime,
+        samples_after: u32,
+    }
+
+    impl Governor for CancelAt {
+        fn name(&self) -> &str {
+            "cancel-at"
+        }
+
+        fn init(&mut self, table: &OppTable) -> Frequency {
+            table.min_freq()
+        }
+
+        fn sample_period(&self) -> SimDuration {
+            SimDuration::from_millis(250)
+        }
+
+        fn on_sample(&mut self, now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
+            if self.token.is_cancelled() {
+                self.samples_after += 1;
+            } else if now >= self.at {
+                self.token.cancel();
+            }
+            table.min_freq()
+        }
+    }
+
+    #[test]
+    fn token_fired_mid_run_stops_a_run_that_jumps_long_strides() {
+        // No input, no ticks, no capture: every iteration jumps up to the
+        // next 250 ms sample, so the quantum count advances in strides
+        // that a quantum-keyed poll could step over.
+        let script = DeviceScript { interactions: Vec::new(), background: Vec::new(), tick: None };
+        let device = Device::new(DeviceConfig { capture: CaptureMode::None, ..Default::default() });
+        let token = CancelToken::manual();
+        let mut gov =
+            CancelAt { token: token.clone(), at: SimTime::from_secs(3), samples_after: 0 };
+        let err = device
+            .run_cancellable(
+                &script,
+                ReplayAgent::new(interlag_evdev::trace::EventTrace::new()),
+                &mut gov,
+                SimTime::from_secs(600),
+                &token,
+            )
+            .expect_err("the token fires at 3 s");
+        assert_eq!(err, DeviceError::Cancelled);
+        assert_eq!(gov.samples_after, 0, "the loop must poll before its next jump");
     }
 
     #[test]

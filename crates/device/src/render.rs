@@ -133,28 +133,76 @@ impl Renderer {
     pub fn render(&self, scene: &Scene, deco: &DecorationState) -> FrameBuffer {
         let c = &self.config;
         let mut fb = FrameBuffer::new(c.width, c.height);
+        let full = fb.bounds();
+        self.paint(&mut fb, scene, deco, full);
+        fb
+    }
+
+    /// Re-renders `prev`, a render of `scene` under decorations `from`,
+    /// for decorations `to`: the frame is copied and only the rects of the
+    /// decorations that changed are repainted, through the same layered
+    /// paint sequence as [`Renderer::render`] clipped to each rect. Scene
+    /// elements overlapping a decoration are therefore redrawn over it
+    /// exactly as a full render would, and the result always equals
+    /// `render(scene, to)`.
+    pub fn redecorate(
+        &self,
+        prev: &FrameBuffer,
+        scene: &Scene,
+        from: &DecorationState,
+        to: &DecorationState,
+    ) -> FrameBuffer {
+        let c = &self.config;
+        let mut fb = prev.clone();
+        let changed = [
+            (from.clock_seconds != to.clock_seconds, c.clock_rect),
+            (scene.cursor && from.cursor_on != to.cursor_on, c.cursor_rect),
+            (scene.spinner && from.spinner_frame != to.spinner_frame, c.spinner_rect),
+        ];
+        for (_, rect) in changed.into_iter().filter(|(changed, _)| *changed) {
+            self.paint(&mut fb, scene, to, rect);
+        }
+        fb
+    }
+
+    /// The layered paint sequence, restricted to `clip`. Every layer's
+    /// texture depends only on absolute pixel positions, so painting a
+    /// clipped region yields exactly the pixels a full paint puts there.
+    fn paint(&self, fb: &mut FrameBuffer, scene: &Scene, deco: &DecorationState, clip: Rect) {
+        let c = &self.config;
+        let clipped = |r: Rect| r.intersect(&clip);
 
         // Status bar: flat dark strip with the clock texture at the right.
-        fb.fill_rect(Rect::new(0, 0, c.width, c.status_bar_rows), 24);
-        fb.hash_paint(c.clock_rect, 0xc10c_c10c ^ deco.clock_seconds);
+        if let Some(r) = clipped(Rect::new(0, 0, c.width, c.status_bar_rows)) {
+            fb.fill_rect(r, 24);
+        }
+        if let Some(r) = clipped(c.clock_rect) {
+            fb.hash_paint(r, 0xc10c_c10c ^ deco.clock_seconds);
+        }
 
         // Scene background and elements.
-        fb.hash_paint(c.body(), scene.background_seed);
+        if let Some(r) = clipped(c.body()) {
+            fb.hash_paint(r, scene.background_seed);
+        }
         for el in scene.elements.iter().filter(|e| e.visible) {
-            fb.hash_paint(el.rect, el.seed);
+            if let Some(r) = clipped(el.rect) {
+                fb.hash_paint(r, el.seed);
+            }
         }
 
         // Cursor: solid block toggling with the blink phase.
         if scene.cursor {
-            fb.fill_rect(c.cursor_rect, if deco.cursor_on { 255 } else { 16 });
+            if let Some(r) = clipped(c.cursor_rect) {
+                fb.fill_rect(r, if deco.cursor_on { 255 } else { 16 });
+            }
         }
 
         // Spinner: re-textured every animation frame.
         if scene.spinner {
-            fb.hash_paint(c.spinner_rect, 0x5917_17e5 ^ deco.spinner_frame);
+            if let Some(r) = clipped(c.spinner_rect) {
+                fb.hash_paint(r, 0x5917_17e5 ^ deco.spinner_frame);
+            }
         }
-
-        fb
     }
 }
 

@@ -57,7 +57,10 @@ pub trait Replayer {
     fn stats(&self) -> ReplayStats;
 
     /// The time the next event wants to be released, if any; lets the
-    /// simulation loop skip ahead through idle stretches.
+    /// simulation loop skip ahead through idle stretches. It must be no
+    /// later than the release time of the next event `poll` would return,
+    /// and a `poll` before it must return nothing and change nothing:
+    /// the loop does not poll in the quanta it skips.
     fn next_due(&self) -> Option<SimTime>;
 }
 

@@ -74,6 +74,12 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Vec<u8> {
     encode_record(payload.as_bytes()).expect("JSON payloads are line-safe")
 }
 
+/// The longest line, newline excluded, a [`FrameReader`] holds by
+/// default. Far above any real frame (a checkpoint of a ten-minute study
+/// repetition is a few kilobytes), low enough that a peer streaming bytes
+/// without a newline cannot grow the reader without bound.
+pub const MAX_FRAME_LINE: usize = 16 << 20;
+
 /// Incremental decoder for the supervisor's end of the pipe.
 ///
 /// Push raw bytes in as they arrive; complete, checksum-valid frames come
@@ -81,16 +87,32 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Vec<u8> {
 /// layer instantiates it with its envelope type). Damaged lines are
 /// counted in [`FrameReader::garbage`] and skipped; an incomplete
 /// trailing line is held until its newline arrives.
+///
+/// Each byte is scanned once, so decoding is linear in the stream length
+/// however it is chunked. A line longer than the reader's maximum
+/// ([`MAX_FRAME_LINE`] by default) counts as one garbage frame: its bytes
+/// are dropped as they arrive and decoding resumes after its newline, so
+/// [`FrameReader::pending`] never exceeds the maximum.
 #[derive(Debug)]
 pub struct FrameReader<T = WireMsg> {
+    /// The current line's bytes so far; never contains a newline.
     buf: Vec<u8>,
+    /// The current line outgrew `max_line`: drop bytes up to its newline.
+    discarding: bool,
+    max_line: usize,
     garbage: u64,
     _msg: std::marker::PhantomData<fn() -> T>,
 }
 
 impl<T> Default for FrameReader<T> {
     fn default() -> Self {
-        FrameReader { buf: Vec::new(), garbage: 0, _msg: std::marker::PhantomData }
+        FrameReader {
+            buf: Vec::new(),
+            discarding: false,
+            max_line: MAX_FRAME_LINE,
+            garbage: 0,
+            _msg: std::marker::PhantomData,
+        }
     }
 }
 
@@ -100,39 +122,75 @@ impl<T: serde::de::DeserializeOwned> FrameReader<T> {
         Self::default()
     }
 
+    /// A reader that holds lines of at most `max_line` bytes (newline
+    /// excluded).
+    pub fn with_max_line(max_line: usize) -> Self {
+        FrameReader { max_line, ..Self::default() }
+    }
+
     /// Feeds bytes in; returns every message completed by them.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<T> {
-        self.buf.extend_from_slice(bytes);
         let mut msgs = Vec::new();
-        while let Some(nl) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=nl).collect();
-            if line.len() == 1 {
-                continue; // bare newline: torn remnant, nothing to count
+        let mut rest = bytes;
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            let (line, tail) = rest.split_at(nl + 1);
+            rest = tail;
+            if std::mem::take(&mut self.discarding) {
+                continue; // the over-long line's end: counted when it overflowed
             }
-            let decoded = decode_records(&line);
-            match decoded.records.first() {
-                Some(payload) if decoded.torn == 0 => {
-                    match std::str::from_utf8(payload)
-                        .ok()
-                        .and_then(|text| serde_json::from_str::<T>(text).ok())
-                    {
-                        Some(msg) => msgs.push(msg),
-                        None => self.garbage += 1,
-                    }
-                }
-                _ => self.garbage += 1,
+            if self.buf.len() + nl > self.max_line {
+                self.buf.clear();
+                self.garbage += 1;
+            } else if self.buf.is_empty() {
+                self.decode_line(line, &mut msgs);
+            } else {
+                let mut whole = std::mem::take(&mut self.buf);
+                whole.extend_from_slice(line);
+                self.decode_line(&whole, &mut msgs);
+                whole.clear();
+                self.buf = whole; // keep the allocation
+            }
+        }
+        if !self.discarding {
+            if self.buf.len() + rest.len() > self.max_line {
+                self.buf.clear();
+                self.garbage += 1;
+                self.discarding = true;
+            } else {
+                self.buf.extend_from_slice(rest);
             }
         }
         msgs
     }
 
-    /// Damaged or unparseable frames skipped so far.
+    /// Decodes one newline-terminated line into `msgs`, or counts it as
+    /// garbage.
+    fn decode_line(&mut self, line: &[u8], msgs: &mut Vec<T>) {
+        if line.len() == 1 {
+            return; // bare newline: torn remnant, nothing to count
+        }
+        let decoded = decode_records(line);
+        match decoded.records.first() {
+            Some(payload) if decoded.torn == 0 => {
+                match std::str::from_utf8(payload)
+                    .ok()
+                    .and_then(|text| serde_json::from_str::<T>(text).ok())
+                {
+                    Some(msg) => msgs.push(msg),
+                    None => self.garbage += 1,
+                }
+            }
+            _ => self.garbage += 1,
+        }
+    }
+
+    /// Damaged, unparseable or over-long frames skipped so far.
     pub fn garbage(&self) -> u64 {
         self.garbage
     }
 
     /// Bytes held back waiting for a newline (a torn tail if the stream
-    /// has ended).
+    /// has ended); at most the reader's maximum line length.
     pub fn pending(&self) -> usize {
         self.buf.len()
     }
