@@ -53,7 +53,7 @@ use crate::suggester::{Suggester, SuggesterConfig};
 ///
 /// The deadline is checked at the cancellation points threaded through
 /// the pipeline — every [`interlag_device::device::CANCEL_STRIDE`] device
-/// quanta, every [`crate::matcher::MATCH_CANCEL_STRIDE`] matcher frames
+/// loop iterations, every [`crate::matcher::MATCH_CANCEL_STRIDE`] matcher frames
 /// and between escalation-ladder steps — so a wedged governor, a stalled
 /// capture path or a runaway matcher walk cannot hang the sweep. A
 /// cancelled attempt is charged against the retry budget; a repetition

@@ -46,11 +46,15 @@ use crate::scene::Scene;
 use crate::script::{DeviceScript, InteractionCategory};
 use crate::task::{Task, TaskKind, TaskSpec};
 
-/// How many quanta the multi-core [`crate::cluster::ClusterDevice`] loop
-/// runs between watchdog polls; at the default 1 ms quantum that is 64 ms
-/// of simulated work per poll. The single-core [`Device`] loop polls once
-/// per iteration instead: an iteration may jump over many quanta, so a
-/// poll keyed to the quantum count could be skipped indefinitely.
+/// How many loop iterations run between watchdog polls. A
+/// [`crate::cluster::ClusterDevice`] iteration is one quantum. A [`Device`]
+/// iteration may jump over many quanta, so its polls count iterations, not
+/// quanta (a quantum count advancing in jumps can step over multiples of
+/// the stride for long stretches); each iteration does a bounded amount of work however
+/// far it jumps, so either way a fired token stops the run within 64
+/// iterations' wall time. Polling every iteration would cost a clock read
+/// per iteration under a deadline token, which the study's default
+/// watchdog is.
 pub const CANCEL_STRIDE: u64 = 64;
 
 /// How the screen output is captured during a run.
@@ -225,9 +229,9 @@ impl Device {
     }
 
     /// Like [`Device::run`], with a watchdog token polled cooperatively in
-    /// the execution loop (once per iteration, before it steps or jumps,
-    /// so a wedged governor cannot stall a sweep for longer than its
-    /// deadline plus one stalled governor sample).
+    /// the execution loop (every [`CANCEL_STRIDE`] iterations, so a wedged
+    /// governor cannot stall a sweep for longer than its deadline plus one
+    /// stride).
     ///
     /// # Errors
     ///
@@ -371,11 +375,13 @@ impl Device {
         let boundary = |t: SimTime| SimTime::from_micros(t.as_micros().div_ceil(q_us) * q_us);
 
         let mut now = SimTime::ZERO;
+        let mut iterations = 0u64;
         while now < until {
-            // Watchdog poll, once per iteration and so before every jump.
-            if cancel.is_cancelled() {
+            // Watchdog poll, strided by iterations (see CANCEL_STRIDE).
+            if iterations.is_multiple_of(CANCEL_STRIDE) && cancel.is_cancelled() {
                 return Err(DeviceError::Cancelled);
             }
+            iterations += 1;
 
             // 1. Deliver input events due by `now`.
             for te in replayer.poll(now) {
@@ -509,7 +515,7 @@ impl Device {
                 let first = due.into_iter().flatten().fold(until, SimTime::min);
                 steps = boundary(first).saturating_since(now).as_micros() / q_us;
                 if let Some(task) = fg.front().or(bg.front()) {
-                    steps = steps.min((task.remaining_in_phase() - 1) / budget);
+                    steps = steps.min(task.remaining_in_phase().saturating_sub(1) / budget);
                 }
             }
             let qend = now + quantum * steps.max(1);
@@ -1010,8 +1016,8 @@ mod tests {
     #[test]
     fn token_fired_mid_run_stops_a_run_that_jumps_long_strides() {
         // No input, no ticks, no capture: every iteration jumps up to the
-        // next 250 ms sample, so the quantum count advances in strides
-        // that a quantum-keyed poll could step over.
+        // next 250 ms sample or clock second, so the quantum count
+        // advances in strides that a quantum-keyed poll could step over.
         let script = DeviceScript { interactions: Vec::new(), background: Vec::new(), tick: None };
         let device = Device::new(DeviceConfig { capture: CaptureMode::None, ..Default::default() });
         let token = CancelToken::manual();
@@ -1027,7 +1033,10 @@ mod tests {
             )
             .expect_err("the token fires at 3 s");
         assert_eq!(err, DeviceError::Cancelled);
-        assert_eq!(gov.samples_after, 0, "the loop must poll before its next jump");
+        // Every iteration here ends on a sample or a clock second, so the
+        // stop comes within one stride of iterations: far short of the
+        // 2 388 samples left in the run.
+        assert!(gov.samples_after < CANCEL_STRIDE as u32, "{} samples", gov.samples_after);
     }
 
     #[test]
