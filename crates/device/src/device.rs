@@ -497,8 +497,9 @@ impl Device {
             // core is idle), all of them are one step.
             let budget = freq.cycles_in(quantum);
             let mut steps = 1;
-            // A sample due by the end of this quantum (every quantum, for
-            // the oracle's 1 ms plan governor) leaves nothing to jump.
+            // A scene change awaiting its repaint, or a sample due by the
+            // end of this quantum (every quantum, for the oracle's 1 ms
+            // plan governor), leaves nothing to jump.
             if !dirty && budget > 0 && next_sample_at > now + quantum {
                 let due = [
                     replayer.next_due(),

@@ -139,49 +139,29 @@ impl<T: serde::de::DeserializeOwned> FrameReader<T> {
                 continue; // the over-long line's end: counted when it overflowed
             }
             if self.buf.len() + nl > self.max_line {
-                self.buf.clear();
                 self.garbage += 1;
-            } else if self.buf.is_empty() {
-                self.decode_line(line, &mut msgs);
             } else {
-                let mut whole = std::mem::take(&mut self.buf);
-                whole.extend_from_slice(line);
-                self.decode_line(&whole, &mut msgs);
-                whole.clear();
-                self.buf = whole; // keep the allocation
-            }
-        }
-        if !self.discarding {
-            if self.buf.len() + rest.len() > self.max_line {
-                self.buf.clear();
-                self.garbage += 1;
-                self.discarding = true;
-            } else {
-                self.buf.extend_from_slice(rest);
-            }
-        }
-        msgs
-    }
-
-    /// Decodes one newline-terminated line into `msgs`, or counts it as
-    /// garbage.
-    fn decode_line(&mut self, line: &[u8], msgs: &mut Vec<T>) {
-        if line.len() == 1 {
-            return; // bare newline: torn remnant, nothing to count
-        }
-        let decoded = decode_records(line);
-        match decoded.records.first() {
-            Some(payload) if decoded.torn == 0 => {
-                match std::str::from_utf8(payload)
-                    .ok()
-                    .and_then(|text| serde_json::from_str::<T>(text).ok())
-                {
-                    Some(msg) => msgs.push(msg),
-                    None => self.garbage += 1,
+                self.buf.extend_from_slice(line);
+                // A bare newline is a torn remnant: nothing to count.
+                if self.buf.len() > 1 {
+                    match decode_line(&self.buf) {
+                        Some(msg) => msgs.push(msg),
+                        None => self.garbage += 1,
+                    }
                 }
             }
-            _ => self.garbage += 1,
+            self.buf.clear();
         }
+        if self.discarding {
+            // Still inside an over-long line: its bytes are dropped.
+        } else if self.buf.len() + rest.len() > self.max_line {
+            self.buf.clear();
+            self.garbage += 1;
+            self.discarding = true;
+        } else {
+            self.buf.extend_from_slice(rest);
+        }
+        msgs
     }
 
     /// Damaged, unparseable or over-long frames skipped so far.
@@ -193,6 +173,18 @@ impl<T: serde::de::DeserializeOwned> FrameReader<T> {
     /// has ended); at most the reader's maximum line length.
     pub fn pending(&self) -> usize {
         self.buf.len()
+    }
+}
+
+/// Decodes one newline-terminated frame line; `None` if it is damaged
+/// or does not parse as a `T`.
+fn decode_line<T: serde::de::DeserializeOwned>(line: &[u8]) -> Option<T> {
+    let decoded = decode_records(line);
+    match decoded.records.first() {
+        Some(payload) if decoded.torn == 0 => {
+            std::str::from_utf8(payload).ok().and_then(|text| serde_json::from_str(text).ok())
+        }
+        _ => None,
     }
 }
 
