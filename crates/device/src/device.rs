@@ -511,6 +511,7 @@ impl Device {
                     pending_updates.iter().map(|(at, ..)| *at - quantum).min(),
                     Some(next_sample_at),
                     video.is_some().then_some(next_frame_at),
+                    // Changes no output; keeps each repaint in its quantum.
                     Some(DecorationState::next_change(now, &scene)),
                 ];
                 let first = due.into_iter().flatten().fold(until, SimTime::min);
@@ -519,88 +520,79 @@ impl Device {
                     steps = steps.min(task.remaining_in_phase().saturating_sub(1) / budget);
                 }
             }
-            let qend = now + quantum * steps.max(1);
+            let steps = steps.max(1);
+            let qend = now + quantum * steps;
 
-            // 4d. Execute: jump over `steps` uneventful quanta, or run one.
-            let busy = if steps > 1 {
-                let span = qend - now;
-                let busy = match fg.front_mut().or(bg.front_mut()) {
-                    Some(task) => {
-                        let (consumed, completions) = task.advance(budget * steps);
-                        debug_assert!(consumed == budget * steps && completions.is_empty());
-                        span
-                    }
-                    None => SimDuration::ZERO,
-                };
-                if !scene.spinner {
-                    // Each skipped quantum that reached the spinner-off grid
-                    // point moved it one period past its own start.
-                    while next_render_spawn <= qend - quantum {
-                        next_render_spawn =
-                            boundary(next_render_spawn) + crate::render::SPINNER_FRAME_PERIOD;
-                    }
-                }
-                busy
-            } else {
-                let khz = khz_of(freq);
-                let mut consumed = 0u64;
-                while consumed < budget {
-                    let from_fg = !fg.is_empty();
-                    let queue = if from_fg { &mut fg } else { &mut bg };
-                    let Some(task) = queue.front_mut() else { break };
-                    let before = consumed;
-                    let (c, completions) = task.advance(budget - consumed);
-                    consumed += c;
-                    let finished = task.is_finished();
-                    let blocked = Task::blocked_after(&completions);
-                    let mut block_at = SimTime::ZERO;
-                    for comp in completions {
-                        let at = before + comp.at_consumed_cycles;
-                        let ts = now + SimDuration::from_micros((at * 1_000).div_ceil(khz));
-                        if comp.wait.is_zero() {
-                            if scene.apply(&comp.update) {
-                                dirty = true;
-                            }
-                            match comp.kind {
-                                TaskKind::Foreground { id } if comp.task_finished => {
-                                    if let Some(rec) = interactions.get_mut(id) {
-                                        rec.service_time = Some(ts.min(qend));
-                                    }
+            // 4d. Execute the step's cycle budget. Over several quanta the
+            // cap above leaves the front task mid-phase, so the loop makes
+            // one `advance` call and sees no completions.
+            let budget = budget * steps;
+            let khz = khz_of(freq);
+            let mut consumed = 0u64;
+            while consumed < budget {
+                let from_fg = !fg.is_empty();
+                let queue = if from_fg { &mut fg } else { &mut bg };
+                let Some(task) = queue.front_mut() else { break };
+                let before = consumed;
+                let (c, completions) = task.advance(budget - consumed);
+                consumed += c;
+                let finished = task.is_finished();
+                let blocked = Task::blocked_after(&completions);
+                let mut block_at = SimTime::ZERO;
+                for comp in completions {
+                    let at = before + comp.at_consumed_cycles;
+                    let ts = now + SimDuration::from_micros((at * 1_000).div_ceil(khz));
+                    if comp.wait.is_zero() {
+                        if scene.apply(&comp.update) {
+                            dirty = true;
+                        }
+                        match comp.kind {
+                            TaskKind::Foreground { id } if comp.task_finished => {
+                                if let Some(rec) = interactions.get_mut(id) {
+                                    rec.service_time = Some(ts.min(qend));
                                 }
-                                // The new animation frame reaches the
-                                // screen through the decoration state.
-                                TaskKind::UiRender if comp.task_finished => spinner_frame += 1,
-                                _ => {}
                             }
-                        } else {
-                            // The update (and, for final phases, the service
-                            // point) becomes visible only after the wait.
-                            let visible_at = ts.min(qend) + comp.wait;
-                            block_at = visible_at;
-                            pending_updates.push((
-                                visible_at,
-                                comp.update,
-                                comp.kind,
-                                comp.task_finished,
-                            ));
+                            // The new animation frame reaches the
+                            // screen through the decoration state.
+                            TaskKind::UiRender if comp.task_finished => spinner_frame += 1,
+                            _ => {}
                         }
-                    }
-                    if finished {
-                        queue.pop_front();
-                    } else if blocked.is_some() {
-                        if let Some(task) = queue.pop_front() {
-                            parked.push((block_at, task));
-                        }
-                    } else if c == 0 {
-                        break; // cannot happen, but never spin
+                    } else {
+                        // The update (and, for final phases, the service
+                        // point) becomes visible only after the wait.
+                        let visible_at = ts.min(qend) + comp.wait;
+                        block_at = visible_at;
+                        pending_updates.push((
+                            visible_at,
+                            comp.update,
+                            comp.kind,
+                            comp.task_finished,
+                        ));
                     }
                 }
-                if consumed >= budget {
-                    quantum
-                } else {
-                    SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
+                if finished {
+                    queue.pop_front();
+                } else if blocked.is_some() {
+                    if let Some(task) = queue.pop_front() {
+                        parked.push((block_at, task));
+                    }
+                } else if c == 0 {
+                    break; // cannot happen, but never spin
                 }
+            }
+            let busy = if consumed >= budget {
+                qend - now
+            } else {
+                SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
             };
+            if steps > 1 && !scene.spinner {
+                // Each skipped quantum that reached the spinner-off grid
+                // point moved it one period past its own start.
+                while next_render_spawn <= qend - quantum {
+                    next_render_spawn =
+                        boundary(next_render_spawn) + crate::render::SPINNER_FRAME_PERIOD;
+                }
+            }
 
             // 5. Account the step (one merged sample, as per-quantum
             // samples of one frequency would merge into).

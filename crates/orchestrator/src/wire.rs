@@ -74,8 +74,7 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Vec<u8> {
     encode_record(payload.as_bytes()).expect("JSON payloads are line-safe")
 }
 
-/// The longest line, newline excluded, a [`FrameReader`] holds by
-/// default. Far above any real frame (a checkpoint of a ten-minute study
+/// The longest line, newline excluded, a [`FrameReader`] holds. Far above any real frame (a checkpoint of a ten-minute study
 /// repetition is a few kilobytes), low enough that a peer streaming bytes
 /// without a newline cannot grow the reader without bound.
 pub const MAX_FRAME_LINE: usize = 16 << 20;
@@ -89,16 +88,18 @@ pub const MAX_FRAME_LINE: usize = 16 << 20;
 /// trailing line is held until its newline arrives.
 ///
 /// Each byte is scanned once, so decoding is linear in the stream length
-/// however it is chunked. A line longer than the reader's maximum
-/// ([`MAX_FRAME_LINE`] by default) counts as one garbage frame: its bytes
-/// are dropped as they arrive and decoding resumes after its newline, so
-/// [`FrameReader::pending`] never exceeds the maximum.
+/// however it is chunked. A line longer than [`MAX_FRAME_LINE`] counts as
+/// one garbage frame: its bytes are dropped as they arrive and decoding
+/// resumes after its newline, so [`FrameReader::pending`] never exceeds
+/// the cap.
 #[derive(Debug)]
 pub struct FrameReader<T = WireMsg> {
     /// The current line's bytes so far; never contains a newline.
     buf: Vec<u8>,
     /// The current line outgrew `max_line`: drop bytes up to its newline.
     discarding: bool,
+    /// [`MAX_FRAME_LINE`]; the unit tests lower it to exercise the cap
+    /// with short lines.
     max_line: usize,
     garbage: u64,
     _msg: std::marker::PhantomData<fn() -> T>,
@@ -120,12 +121,6 @@ impl<T: serde::de::DeserializeOwned> FrameReader<T> {
     /// A reader with an empty buffer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A reader that holds lines of at most `max_line` bytes (newline
-    /// excluded).
-    pub fn with_max_line(max_line: usize) -> Self {
-        FrameReader { max_line, ..Self::default() }
     }
 
     /// Feeds bytes in; returns every message completed by them.
@@ -170,7 +165,7 @@ impl<T: serde::de::DeserializeOwned> FrameReader<T> {
     }
 
     /// Bytes held back waiting for a newline (a torn tail if the stream
-    /// has ended); at most the reader's maximum line length.
+    /// has ended); at most [`MAX_FRAME_LINE`].
     pub fn pending(&self) -> usize {
         self.buf.len()
     }
@@ -191,6 +186,7 @@ fn decode_line<T: serde::de::DeserializeOwned>(line: &[u8]) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn heartbeat(seq: u64) -> WireMsg {
         WireMsg::Heartbeat { seq, completed: seq as u32 }
@@ -258,5 +254,88 @@ mod tests {
         assert_eq!(r.pending(), head.len());
         assert_eq!(r.push(tail), vec![heartbeat(9)]);
         assert_eq!(r.garbage(), 0);
+    }
+
+    #[test]
+    fn a_line_one_byte_over_the_cap_is_one_garbage_frame() {
+        let mut r: FrameReader = FrameReader::new();
+        assert!(r.push(&vec![b'a'; MAX_FRAME_LINE + 1]).is_empty());
+        assert_eq!(r.garbage(), 1);
+        assert_eq!(r.pending(), 0);
+        // The rest of the line is dropped; the next line decodes.
+        let mut rest = b"aaa\n".to_vec();
+        rest.extend(encode_msg(&heartbeat(1)));
+        assert_eq!(r.push(&rest), vec![heartbeat(1)]);
+        assert_eq!(r.garbage(), 1);
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// The line cap the bounded-memory properties run under: above every
+    /// heartbeat frame, far below the over-long lines mixed in.
+    const CAP: usize = 80;
+
+    /// One piece of a hostile stream: a valid frame, a short junk line, an
+    /// over-long junk line, or an over-long unterminated tail.
+    fn piece(kind: u8, seq: u64, len: usize) -> Vec<u8> {
+        let junk = |n: usize| (0..n).map(|i| b'a' + (i % 26) as u8).collect::<Vec<u8>>();
+        match kind {
+            0 | 1 => encode_msg(&heartbeat(seq)),
+            2 => [junk(len % CAP), vec![b'\n']].concat(),
+            3 => [junk(CAP + 1 + len), vec![b'\n']].concat(),
+            _ => junk(CAP + 1 + len),
+        }
+    }
+
+    type Decoded = (Vec<WireMsg>, u64, usize);
+
+    /// Pushes `bytes` into a reader capped at [`CAP`] in the chunk sizes
+    /// `cuts` prescribes, checking the pending bound after every push.
+    fn push_capped(bytes: &[u8], cuts: &[usize]) -> Result<Decoded, TestCaseError> {
+        let mut r: FrameReader = FrameReader { max_line: CAP, ..FrameReader::default() };
+        let mut out = Vec::new();
+        let mut at = 0usize;
+        let mut i = 0usize;
+        while at < bytes.len() {
+            let step = cuts[i % cuts.len()].clamp(1, bytes.len() - at);
+            out.extend(r.push(&bytes[at..at + step]));
+            prop_assert!(r.pending() <= CAP, "pending {} exceeds the cap {CAP}", r.pending());
+            at += step;
+            i += 1;
+        }
+        Ok((out, r.garbage(), r.pending()))
+    }
+
+    proptest! {
+        #[test]
+        fn hostile_streams_decode_the_same_under_any_rechunking(
+            pieces in proptest::collection::vec((0u8..5, 0u64..1000, 0usize..300), 1..20),
+            cuts in proptest::collection::vec(1usize..200, 1..10),
+        ) {
+            let bytes: Vec<u8> = pieces.iter().flat_map(|&(k, s, l)| piece(k, s, l)).collect();
+            let whole = push_capped(&bytes, &[bytes.len()])?;
+            let chunked = push_capped(&bytes, &cuts)?;
+            let single_bytes = push_capped(&bytes, &[1])?;
+            prop_assert_eq!(&chunked, &whole);
+            prop_assert_eq!(&single_bytes, &whole);
+        }
+
+        #[test]
+        fn over_long_lines_cost_one_garbage_frame_each_and_resync(
+            seqs in proptest::collection::vec(0u64..1000, 1..20),
+            junk in 1usize..2_000,
+            cuts in proptest::collection::vec(1usize..64, 1..10),
+        ) {
+            // Every frame is preceded by an over-long line; each one must be
+            // counted once and the frame after it still decoded.
+            let mut bytes = Vec::new();
+            for &s in &seqs {
+                bytes.extend(piece(3, 0, junk));
+                bytes.extend(encode_msg(&heartbeat(s)));
+            }
+            let (out, garbage, pending) = push_capped(&bytes, &cuts)?;
+            prop_assert_eq!(out, seqs.iter().map(|&s| heartbeat(s)).collect::<Vec<_>>());
+            prop_assert_eq!(garbage, seqs.len() as u64);
+            prop_assert_eq!(pending, 0);
+        }
     }
 }

@@ -98,70 +98,3 @@ proptest! {
         }
     }
 }
-
-/// The line cap the bounded-memory properties run under: above every
-/// heartbeat frame `msg` produces, far below the over-long lines mixed in.
-const CAP: usize = 80;
-
-/// One piece of a hostile stream: a valid frame, a short junk line, an
-/// over-long junk line, or an over-long unterminated tail.
-fn piece(kind: u8, seq: u64, len: usize) -> Vec<u8> {
-    let junk = |n: usize| (0..n).map(|i| b'a' + (i % 26) as u8).collect::<Vec<u8>>();
-    match kind {
-        0 | 1 => encode_msg(&msg(seq)),
-        2 => [junk(len % CAP), vec![b'\n']].concat(),
-        3 => [junk(CAP + 1 + len), vec![b'\n']].concat(),
-        _ => junk(CAP + 1 + len),
-    }
-}
-
-/// Pushes `bytes` into a capped reader in the chunk sizes `cuts`
-/// prescribes, checking the pending bound after every push.
-fn push_capped(bytes: &[u8], cuts: &[usize]) -> Result<(Vec<WireMsg>, u64, usize), TestCaseError> {
-    let mut r: FrameReader = FrameReader::with_max_line(CAP);
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    let mut i = 0usize;
-    while at < bytes.len() {
-        let step = cuts[i % cuts.len()].clamp(1, bytes.len() - at);
-        out.extend(r.push(&bytes[at..at + step]));
-        prop_assert!(r.pending() <= CAP, "pending {} exceeds the cap {CAP}", r.pending());
-        at += step;
-        i += 1;
-    }
-    Ok((out, r.garbage(), r.pending()))
-}
-
-proptest! {
-    #[test]
-    fn hostile_streams_decode_the_same_under_any_rechunking(
-        pieces in proptest::collection::vec((0u8..5, 0u64..1000, 0usize..300), 1..20),
-        cuts in proptest::collection::vec(1usize..200, 1..10),
-    ) {
-        let bytes: Vec<u8> = pieces.iter().flat_map(|&(k, s, l)| piece(k, s, l)).collect();
-        let whole = push_capped(&bytes, &[bytes.len()])?;
-        let chunked = push_capped(&bytes, &cuts)?;
-        let single_bytes = push_capped(&bytes, &[1])?;
-        prop_assert_eq!(&chunked, &whole);
-        prop_assert_eq!(&single_bytes, &whole);
-    }
-
-    #[test]
-    fn over_long_lines_cost_one_garbage_frame_each_and_resync(
-        seqs in proptest::collection::vec(0u64..1000, 1..20),
-        junk in 1usize..2_000,
-        cuts in proptest::collection::vec(1usize..64, 1..10),
-    ) {
-        // Every frame is preceded by an over-long line; each one must be
-        // counted once and the frame after it still decoded.
-        let mut bytes = Vec::new();
-        for &s in &seqs {
-            bytes.extend(piece(3, 0, junk));
-            bytes.extend(encode_msg(&msg(s)));
-        }
-        let (out, garbage, pending) = push_capped(&bytes, &cuts)?;
-        prop_assert_eq!(out, seqs.iter().map(|&s| msg(s)).collect::<Vec<_>>());
-        prop_assert_eq!(garbage, seqs.len() as u64);
-        prop_assert_eq!(pending, 0);
-    }
-}
