@@ -13,15 +13,20 @@
 //! the 20 ms governor sampling period, so every externally visible timing
 //! is accurate to a fraction of the measurement resolution. The loop does
 //! not visit every quantum, though. Each iteration computes an **event
-//! horizon** — the first quantum boundary at which any of its checks
-//! (input poll, scripted work, system tick, spinner render spawn, I/O
-//! resume, deferred scene update, governor sample, frame capture,
-//! decoration change) could fire — and, when the core would run one task
-//! without finishing a phase or sit idle until then, covers all those
-//! quanta in one step. The result is identical to stepping each quantum:
-//! activity samples of equal frequency merge anyway, busy time and cycle
-//! counts are exact integer multiples, and every poll, sample, repaint and
-//! frame lands in the same quantum as it would have.
+//! horizon** — the first quantum boundary at which its output can change:
+//! an input poll, scripted work, a system tick, a spinner render spawn, an
+//! I/O resume, a deferred scene update, the governor's next declared
+//! decision ([`Governor::next_decision`]) or a decoration change — and,
+//! when the core would run one task without finishing a phase or sit idle
+//! until then, covers all those quanta in one step. The result is
+//! identical to stepping each quantum: activity samples of equal frequency
+//! merge anyway, busy time and cycle counts are exact integer multiples,
+//! and every poll, decision and repaint lands in the same quantum as it
+//! would have. The governor samples and frame ticks a step covers are
+//! folded in closed form: samples are counted and restart the load window
+//! without reaching the governor, and the frames before the step's last
+//! quantum capture the screen the step started with, which nothing in the
+//! step could change.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -360,7 +365,6 @@ impl Device {
         let mut obs_input_boosts = 0u64;
         let mut obs_samples = 0u64;
         let mut obs_transitions = 0u64;
-        let mut obs_frames = 0u64;
 
         // --- state: I/O waits ----------------------------------------------
         // Tasks blocked on a phase wait, with their resume times, and scene
@@ -490,17 +494,19 @@ impl Device {
             }
 
             // 4c. The event horizon: the first quantum boundary at which a
-            // check above could fire again (start-of-quantum checks) or one
-            // below could (end-of-quantum checks). Every quantum before it
-            // runs at the same frequency on the same scene and screen; if
-            // the front task also cannot finish a phase by then (or the
-            // core is idle), all of them are one step.
+            // check above could fire again (start-of-quantum checks), the
+            // governor's declared decision falls or a decoration changes
+            // (end-of-quantum). Every quantum before it runs at the same
+            // frequency on the same scene and screen; if the front task
+            // also cannot finish a phase by then (or the core is idle), all
+            // of them are one step. The samples and frame ticks it covers
+            // are folded in at the step's end (6, 7a).
             let budget = freq.cycles_in(quantum);
+            let decision = governor.next_decision(next_sample_at);
             let mut steps = 1;
-            // A scene change awaiting its repaint, or a sample due by the
-            // end of this quantum (every quantum, for the oracle's 1 ms
-            // plan governor), leaves nothing to jump.
-            if !dirty && budget > 0 && next_sample_at > now + quantum {
+            // A scene change awaiting its repaint, or a decision due by
+            // the end of this quantum, leaves nothing to jump.
+            if !dirty && budget > 0 && decision.is_none_or(|d| d > now + quantum) {
                 let due = [
                     replayer.next_due(),
                     script.background.get(next_bg).map(|b| b.start),
@@ -509,9 +515,9 @@ impl Device {
                     parked.iter().map(|(at, _)| *at).min(),
                     // Applied in the quantum that ends at or after `at`.
                     pending_updates.iter().map(|(at, ..)| *at - quantum).min(),
-                    Some(next_sample_at),
-                    video.is_some().then_some(next_frame_at),
-                    // Changes no output; keeps each repaint in its quantum.
+                    decision,
+                    // A clock or cursor change ends the step, so the frames
+                    // the step covers all show the screen it started with.
                     Some(DecorationState::next_change(now, &scene)),
                 ];
                 let first = due.into_iter().flatten().fold(until, SimTime::min);
@@ -599,20 +605,43 @@ impl Device {
             activity.push(ActivitySample { start: now, duration: qend - now, freq, busy });
             busy_acc += busy;
 
-            // 6. Governor sampling.
+            // 6. Governor sampling. Samples fire at the first quantum end
+            // at or after they are due, so they sit on the quantum grid
+            // `stride` apart; the step ends at or before the decision, so
+            // only its last sample can be one. The others are counted and
+            // restart the load window, which a step longer than one
+            // quantum keeps either fully busy or idle.
             if qend >= next_sample_at {
-                let window = qend - last_sample_at;
-                let sample = LoadSample { busy: busy_acc, window };
-                let before = freq;
-                freq = cfg.opps.quantize_up(governor.on_sample(qend, sample, &cfg.opps));
-                obs_samples += 1;
-                obs_transitions += u64::from(freq != before);
-                busy_acc = SimDuration::ZERO;
-                last_sample_at = qend;
-                next_sample_at = qend + governor.sample_period();
+                let stride = governor.sample_period().as_micros().div_ceil(q_us).max(1) * q_us;
+                let first = boundary(next_sample_at);
+                let skipped = (qend - first).as_micros() / stride;
+                let at = first + SimDuration::from_micros(skipped * stride);
+                obs_samples += skipped + 1;
+                if skipped > 0 {
+                    last_sample_at = at - SimDuration::from_micros(stride);
+                    busy_acc = busy.saturating_sub(last_sample_at - now);
+                }
+                if decision.is_some_and(|d| d <= at) {
+                    let sample = LoadSample { busy: busy_acc, window: at - last_sample_at };
+                    let before = freq;
+                    freq = cfg.opps.quantize_up(governor.on_sample(at, sample, &cfg.opps));
+                    obs_transitions += u64::from(freq != before);
+                }
+                busy_acc = busy.saturating_sub(at - now);
+                last_sample_at = at;
+                next_sample_at = at + governor.sample_period();
             }
 
-            // 7. Repaint if the scene changed; if only a decoration did,
+            // 7a. Capture the frames due before the step's last quantum: the
+            // step changed neither scene nor decorations in them.
+            if let Some(video) = video.as_mut() {
+                while next_frame_at <= qend - quantum {
+                    Self::capture(video, link.as_deref_mut(), next_frame_at, &screen)?;
+                    next_frame_at += cfg.frame_period;
+                }
+            }
+
+            // 7b. Repaint if the scene changed; if only a decoration did,
             // repaint just the decorations that changed.
             let new_deco = DecorationState::at(qend, &scene, spinner_frame);
             if dirty {
@@ -623,15 +652,10 @@ impl Device {
             }
             deco = new_deco;
 
-            // 8. Capture frames due in this quantum.
+            // 8. Capture the frames due in the step's last quantum.
             if let Some(video) = video.as_mut() {
                 while next_frame_at <= qend {
-                    let frame = match link.as_deref_mut() {
-                        Some(l) => l.capture(next_frame_at, &screen),
-                        None => screen.clone(),
-                    };
-                    video.push(next_frame_at, frame)?;
-                    obs_frames += 1;
+                    Self::capture(video, link.as_deref_mut(), next_frame_at, &screen)?;
                     next_frame_at += cfg.frame_period;
                 }
             }
@@ -642,7 +666,8 @@ impl Device {
         cfg.obs.count(interlag_obs::Counter::InputBoosts, obs_input_boosts);
         cfg.obs.count(interlag_obs::Counter::GovernorSamples, obs_samples);
         cfg.obs.count(interlag_obs::Counter::FreqTransitions, obs_transitions);
-        cfg.obs.count(interlag_obs::Counter::FramesCaptured, obs_frames);
+        let frames = video.as_ref().map_or(0, VideoStream::len);
+        cfg.obs.count(interlag_obs::Counter::FramesCaptured, frames as u64);
 
         Ok(RunArtifacts {
             governor_name: governor.name().to_string(),
@@ -653,6 +678,22 @@ impl Device {
             input_faults,
             end_time: now,
         })
+    }
+
+    /// Captures `screen` into `video` as the frame at `at`, through `link`
+    /// if there is one, else sharing the screen's buffer.
+    fn capture(
+        video: &mut VideoStream,
+        link: Option<&mut (dyn CaptureLink + '_)>,
+        at: SimTime,
+        screen: &Arc<FrameBuffer>,
+    ) -> Result<(), DeviceError> {
+        let frame = match link {
+            Some(l) => l.capture(at, screen),
+            None => screen.clone(),
+        };
+        video.push(at, frame)?;
+        Ok(())
     }
 
     /// Extracts interaction triggers (finger-down, hardware-key-down) from
@@ -1049,6 +1090,148 @@ mod tests {
         let baseline = run_fixed(960, &script);
         assert_eq!(run.interactions, baseline.interactions);
         assert_eq!(run.activity, baseline.activity);
+    }
+
+    /// Load-blind in its output, which steps through the OPP table every
+    /// `block` samples, but logs every sample it is handed. Declares a
+    /// decision only at block starts when `declare` is set; otherwise
+    /// keeps the default hook and sees every sample.
+    struct Recording {
+        block: u64,
+        declare: bool,
+        log: Vec<(SimTime, LoadSample)>,
+    }
+
+    impl Recording {
+        const PERIOD: SimDuration = SimDuration::from_millis(20);
+
+        fn block_us(&self) -> u64 {
+            Self::PERIOD.as_micros() * self.block
+        }
+
+        fn freq_at(&self, now: SimTime, table: &OppTable) -> Frequency {
+            let i = (now.as_micros() / self.block_us()) as usize % table.len();
+            table.frequencies().nth(i).expect("index in range")
+        }
+    }
+
+    impl Governor for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn init(&mut self, table: &OppTable) -> Frequency {
+            self.freq_at(SimTime::ZERO, table)
+        }
+
+        fn sample_period(&self) -> SimDuration {
+            Self::PERIOD
+        }
+
+        fn on_sample(&mut self, now: SimTime, load: LoadSample, table: &OppTable) -> Frequency {
+            self.log.push((now, load));
+            self.freq_at(now, table)
+        }
+
+        fn next_decision(&self, next_sample: SimTime) -> Option<SimTime> {
+            if !self.declare {
+                return Some(next_sample);
+            }
+            let b = self.block_us();
+            Some(SimTime::from_micros(next_sample.as_micros().div_ceil(b) * b))
+        }
+    }
+
+    #[test]
+    fn declared_decisions_see_the_samples_every_sample_would_have() {
+        // Long busy stretches (a 600 M-cycle job, the tap's 60 M cycles)
+        // put many skipped samples inside fully busy steps; ticks off the
+        // 20 ms sample grid end some of those steps mid-window.
+        let mut script = simple_script();
+        script.background.push(BackgroundWork {
+            label: "batch".into(),
+            start: SimTime::from_millis(1_000),
+            cycles: 600_000_000,
+        });
+        script.tick = Some(PeriodicTick { period: SimDuration::from_millis(30), cycles: 50_000 });
+        let run = |declare: bool| {
+            let obs = interlag_obs::Recorder::enabled();
+            let device = Device::new(DeviceConfig { obs: obs.clone(), ..Default::default() });
+            let mut gov = Recording { block: 5, declare, log: Vec::new() };
+            let run = device
+                .run(
+                    &script,
+                    ReplayAgent::new(script.record_trace()),
+                    &mut gov,
+                    SimTime::from_secs(5),
+                )
+                .expect("clean run");
+            (run, gov.log, obs.text_report_deterministic())
+        };
+        let (every, every_log, every_obs) = run(false);
+        let (declared, declared_log, declared_obs) = run(true);
+
+        let block = Recording::PERIOD.as_micros() * 5;
+        let expected: Vec<_> =
+            every_log.iter().filter(|(t, _)| t.as_micros() % block == 0).copied().collect();
+        assert_eq!(every_log.len(), 250, "a 5 s run samples every 20 ms");
+        assert_eq!(declared_log, expected, "a decision must see the load every sample saw");
+        assert!(declared_log.iter().any(|(_, l)| l.busy == l.window), "some window fully busy");
+
+        assert_eq!(declared.governor_name, every.governor_name);
+        assert_eq!(declared.interactions, every.interactions);
+        assert_eq!(declared.activity, every.activity);
+        assert_eq!(declared.replay, every.replay);
+        assert_eq!(declared.input_faults, every.input_faults);
+        assert_eq!(declared.end_time, every.end_time);
+        let (a, b) = (every.video.expect("hdmi"), declared.video.expect("hdmi"));
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!((x.time, x.buf.as_ref()), (y.time, y.buf.as_ref()));
+        }
+        // Skipped samples still count: the telemetry matches too.
+        assert_eq!(declared_obs, every_obs);
+    }
+
+    /// A run with nothing to do: no input, no scripted work, no ticks.
+    fn idle_run(capture: CaptureMode, until: SimTime) -> RunArtifacts {
+        let script = DeviceScript { interactions: Vec::new(), background: Vec::new(), tick: None };
+        let device = Device::new(DeviceConfig { capture, ..Default::default() });
+        let mut gov = FixedGovernor::new(Frequency::from_mhz(960));
+        device
+            .run(
+                &script,
+                ReplayAgent::new(interlag_evdev::trace::EventTrace::new()),
+                &mut gov,
+                until,
+            )
+            .expect("clean run")
+    }
+
+    #[test]
+    fn frames_are_captured_at_frame_rate() {
+        let run = idle_run(CaptureMode::Hdmi, SimTime::from_secs(1));
+        let video = run.video.expect("hdmi capture on");
+        // Frames at 0, 33.3 ms, … up to the end of the run.
+        assert_eq!(video.len(), 31);
+        // A still screen shares one buffer. Only the clock changes: a frame
+        // shows the screen at the end of its quantum, so the last one, at
+        // 999.99 ms, already reads 1 s.
+        assert_eq!(video.unique_frames(), 2);
+        assert!(Arc::ptr_eq(&video.frames()[0].buf, &video.frames()[29].buf));
+    }
+
+    #[test]
+    fn frames_a_long_step_covers_stay_on_the_grid() {
+        // Nothing but the clock happens, so each step jumps a whole
+        // second: every frame in it is captured after the fact.
+        let run = idle_run(CaptureMode::Camera { seed: 5 }, SimTime::from_secs(3));
+        let video = run.video.expect("camera capture on");
+        let period = DeviceConfig::default().frame_period;
+        assert_eq!(video.len() as u64, run.end_time.as_micros() / period.as_micros() + 1);
+        for (i, f) in video.iter().enumerate() {
+            assert_eq!(f.time, SimTime::ZERO + period * i as u64);
+        }
     }
 
     #[test]

@@ -39,11 +39,13 @@ impl LoadSample {
 
 /// A frequency-selection policy.
 ///
-/// The device calls [`Governor::on_sample`] every
-/// [`Governor::sample_period`] with the load since the previous call, and
-/// [`Governor::on_input`] whenever a user-input packet arrives (the hook
-/// the Interactive governor's input boost uses). Both return the frequency
-/// to run at next; the device quantises it onto the OPP table.
+/// The device samples the load every [`Governor::sample_period`] and
+/// calls [`Governor::on_sample`] with the load since the previous sample,
+/// and [`Governor::on_input`] whenever a user-input packet arrives (the
+/// hook the Interactive governor's input boost uses). Both return the
+/// frequency to run at next; the device quantises it onto the OPP table.
+/// A governor whose decisions do not depend on the load can declare, with
+/// [`Governor::next_decision`], which samples it needs to see at all.
 ///
 /// # The clamped load contract
 ///
@@ -68,6 +70,20 @@ pub trait Governor {
     /// Reacts to a user-input packet; `None` leaves the frequency alone.
     fn on_input(&mut self, _now: SimTime, _table: &OppTable) -> Option<Frequency> {
         None
+    }
+
+    /// The earliest time at which [`Governor::on_sample`] may return
+    /// something other than the frequency the governor last chose (by
+    /// `init`, `on_sample` or `on_input`); `None` means never.
+    /// `next_sample` is when the next sample is due.
+    ///
+    /// The device still counts every sample, and restarts the load window
+    /// at each, but delivers only the first sample at or after the
+    /// returned time. A governor may therefore skip samples only if it
+    /// ignores their load and needs no per-sample state. The default,
+    /// `Some(next_sample)`, delivers every sample.
+    fn next_decision(&self, next_sample: SimTime) -> Option<SimTime> {
+        Some(next_sample)
     }
 }
 
@@ -115,12 +131,17 @@ impl Governor for FixedGovernor {
     }
 
     fn sample_period(&self) -> SimDuration {
-        // Nothing to decide; sample rarely to keep the loop cheap.
+        // Nothing is ever decided (see `next_decision`), so the period
+        // only sets how many samples the run counts.
         SimDuration::from_millis(100)
     }
 
     fn on_sample(&mut self, _now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.quantize_up(self.freq)
+    }
+
+    fn next_decision(&self, _next_sample: SimTime) -> Option<SimTime> {
+        None
     }
 }
 
@@ -176,5 +197,6 @@ mod tests {
         let mut g = FixedGovernor::new(table.min_freq());
         g.init(&table);
         assert_eq!(g.on_input(SimTime::ZERO, &table), None);
+        assert_eq!(g.next_decision(SimTime::from_millis(100)), None, "nothing to decide");
     }
 }

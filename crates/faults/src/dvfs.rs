@@ -77,6 +77,16 @@ impl Governor for FaultyGovernor<'_> {
     fn on_input(&mut self, now: SimTime, table: &OppTable) -> Option<Frequency> {
         self.inner.on_input(now, table).map(|want| self.apply(want))
     }
+
+    /// Forwarded only while no write can be rejected: otherwise every
+    /// sample draws from the fault stream, so none may be skipped.
+    fn next_decision(&self, next_sample: SimTime) -> Option<SimTime> {
+        if self.faults.reject_rate > 0.0 {
+            Some(next_sample)
+        } else {
+            self.inner.next_decision(next_sample)
+        }
+    }
 }
 
 /// A [`Governor`] decorator that can *wedge*: with the configured
@@ -131,11 +141,21 @@ impl Governor for WedgedGovernor<'_> {
     fn on_input(&mut self, now: SimTime, table: &OppTable) -> Option<Frequency> {
         self.inner.on_input(now, table)
     }
+
+    /// Forwarded only while unwedged: a wedged run stalls on every sample.
+    fn next_decision(&self, next_sample: SimTime) -> Option<SimTime> {
+        if self.wedged {
+            Some(next_sample)
+        } else {
+            self.inner.next_decision(next_sample)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use interlag_device::dvfs::FixedGovernor;
 
     /// A governor that wants a different OPP on every sample.
     struct Sweeper {
@@ -224,6 +244,32 @@ mod tests {
             assert_eq!(g.on_sample(now, sample(), &table), plain.on_sample(now, sample(), &table));
         }
         assert!(t0.elapsed() >= std::time::Duration::from_millis(20), "4 samples × 5 ms stall");
+    }
+
+    #[test]
+    fn faulty_governor_forwards_decisions_only_while_nothing_is_rejected() {
+        let next = SimTime::from_millis(100);
+        let mut pinned = FixedGovernor::new(Frequency::from_mhz(960));
+        let g =
+            FaultyGovernor::new(&mut pinned, DvfsFaults { reject_rate: 0.0 }, SplitMix64::new(7));
+        assert_eq!(g.next_decision(next), None);
+        let mut pinned = FixedGovernor::new(Frequency::from_mhz(960));
+        let g =
+            FaultyGovernor::new(&mut pinned, DvfsFaults { reject_rate: 0.1 }, SplitMix64::new(7));
+        assert_eq!(g.next_decision(next), Some(next));
+    }
+
+    #[test]
+    fn wedged_governor_forwards_decisions_only_while_unwedged() {
+        let next = SimTime::from_millis(100);
+        let mut pinned = FixedGovernor::new(Frequency::from_mhz(960));
+        let g = WedgedGovernor::new(&mut pinned, WedgeFaults::none(), &mut SplitMix64::new(8));
+        assert_eq!(g.next_decision(next), None);
+        let mut pinned = FixedGovernor::new(Frequency::from_mhz(960));
+        let faults = WedgeFaults { hang_rate: 1.0, stall_ms: 5 };
+        let g = WedgedGovernor::new(&mut pinned, faults, &mut SplitMix64::new(8));
+        assert!(g.wedged());
+        assert_eq!(g.next_decision(next), Some(next), "a wedged run stalls on every sample");
     }
 
     #[test]

@@ -132,6 +132,16 @@ impl Governor for PlanGovernor {
     fn on_sample(&mut self, now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.quantize_up(self.plan.freq_at(now))
     }
+
+    /// The first plan step after the previous sample, which the device
+    /// delivers at the first sample at or after it; `None` once the plan
+    /// has no steps left.
+    fn next_decision(&self, next_sample: SimTime) -> Option<SimTime> {
+        let previous =
+            SimTime::from_micros(next_sample.as_micros().saturating_sub(self.period.as_micros()));
+        let i = self.plan.steps.partition_point(|(t, _)| *t <= previous);
+        self.plan.steps.get(i).map(|(t, _)| (*t).max(next_sample))
+    }
 }
 
 #[cfg(test)]
@@ -187,5 +197,22 @@ mod tests {
         assert_eq!(g.on_sample(SimTime::from_millis(50), idle, &table), table.min_freq());
         assert_eq!(g.on_sample(SimTime::from_millis(100), idle, &table), table.max_freq());
         assert_eq!(g.name(), "oracle");
+    }
+
+    #[test]
+    fn governor_declares_its_next_plan_step() {
+        let table = OppTable::snapdragon_8074();
+        let mut plan = FrequencyPlan::new(table.min_freq());
+        plan.set_from(SimTime::from_micros(100_500), table.max_freq());
+        plan.set_from(SimTime::from_millis(300), table.min_freq());
+        let g = PlanGovernor::new("oracle", plan);
+        let ms = SimTime::from_millis;
+        // Delivered at the first sample at or after the step.
+        assert_eq!(g.next_decision(ms(1)), Some(SimTime::from_micros(100_500)));
+        assert_eq!(g.next_decision(ms(101)), Some(ms(101)));
+        // The step at 100.5 ms was seen by the sample at 101 ms.
+        assert_eq!(g.next_decision(ms(102)), Some(ms(300)));
+        assert_eq!(g.next_decision(ms(300)), Some(ms(300)));
+        assert_eq!(g.next_decision(ms(301)), None, "no steps left");
     }
 }

@@ -28,6 +28,10 @@ impl Governor for Performance {
     fn on_sample(&mut self, _now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.max_freq()
     }
+
+    fn next_decision(&self, _next_sample: SimTime) -> Option<SimTime> {
+        None
+    }
 }
 
 /// Pins the clock to the slowest operating point.
@@ -50,6 +54,10 @@ impl Governor for Powersave {
     fn on_sample(&mut self, _now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.min_freq()
     }
+
+    fn next_decision(&self, _next_sample: SimTime) -> Option<SimTime> {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -63,6 +71,7 @@ mod tests {
         assert_eq!(g.init(&t), t.max_freq());
         let idle = LoadSample { busy: SimDuration::ZERO, window: SimDuration::from_millis(20) };
         assert_eq!(g.on_sample(SimTime::ZERO, idle, &t), t.max_freq());
+        assert_eq!(g.next_decision(SimTime::from_millis(100)), None);
         assert_eq!(g.name(), "performance");
     }
 
@@ -74,5 +83,6 @@ mod tests {
         let w = SimDuration::from_millis(20);
         let full = LoadSample { busy: w, window: w };
         assert_eq!(g.on_sample(SimTime::ZERO, full, &t), t.min_freq());
+        assert_eq!(g.next_decision(SimTime::from_millis(100)), None);
     }
 }

@@ -53,6 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use interlag_core::experiment::{LabConfig, SweepStage};
+use interlag_faults::AgentSabotage;
 use interlag_journal::SeqOutbox;
 use interlag_obs::{Counter, Recorder};
 use interlag_workloads::gen::Workload;
@@ -60,7 +61,9 @@ use interlag_workloads::gen::Workload;
 use crate::agent::{run_agent, stage_name, AgentConfig, AgentReport, KillSwitch};
 use crate::session::{SeqAssembler, SessionMsg};
 use crate::supervisor::retry_backoff;
-use crate::transport::{AgentEvent, AttemptKey, RunningShard, ShardTask, Transport};
+use crate::transport::{
+    agent_side, scheduled, AgentEvent, AttemptKey, RunningShard, ShardTask, Transport,
+};
 use crate::wire::{encode_frame, FrameReader, WireMsg};
 
 /// Process exit code of an agent whose lease was revoked: its epoch was
@@ -463,6 +466,13 @@ pub enum TcpAgentMode {
         workload: Box<Workload>,
         /// The lab configuration (forced to one worker per agent).
         lab: Box<LabConfig>,
+        /// Scheduled agent-side failures, as for
+        /// [`ThreadTransport`](crate::transport::ThreadTransport). The
+        /// supervisor-side [`SabotageKind::KillAfterRecords`] is not
+        /// honoured here.
+        ///
+        /// [`SabotageKind::KillAfterRecords`]: interlag_faults::SabotageKind::KillAfterRecords
+        sabotage: Vec<AgentSabotage>,
     },
     /// Dispatch to external `interlag agent --worker` processes that
     /// connect in and announce [`SessionMsg::Available`]. The only mode
@@ -859,7 +869,7 @@ impl Transport for TcpTransport {
                     }
                 }))
             }
-            TcpAgentMode::Thread { workload, lab } => {
+            TcpAgentMode::Thread { workload, lab, sabotage } => {
                 let kill = Arc::new(KillSwitch::new());
                 let mut lab = (**lab).clone();
                 lab.workers = 1;
@@ -869,7 +879,7 @@ impl Transport for TcpTransport {
                     scope: task.scope,
                     journal_path: task.journal_path.clone(),
                     heartbeat: self.heartbeat,
-                    sabotage: None,
+                    sabotage: agent_side(scheduled(sabotage, task)),
                     abort_on_crash: false,
                     kill: Some(Arc::clone(&kill)),
                 };

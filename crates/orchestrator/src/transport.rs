@@ -187,7 +187,7 @@ impl LinePump {
 /// any. Sabotage is stage-blind: a schedule entry strikes whichever wave
 /// dispatches that shard/attempt pair (chaos tests pick checkpoint
 /// numbers only the intended wave can reach).
-fn scheduled(sabotage: &[AgentSabotage], task: &ShardTask) -> Option<SabotageKind> {
+pub(crate) fn scheduled(sabotage: &[AgentSabotage], task: &ShardTask) -> Option<SabotageKind> {
     sabotage
         .iter()
         .find(|s| s.shard == task.scope.shard && s.attempt == task.attempt)
@@ -205,7 +205,7 @@ fn kill_after(kind: Option<SabotageKind>) -> Option<u32> {
 
 /// The agent-side half: the `--sabotage` flag value for the child, or
 /// the [`AgentConfig::sabotage`] for a thread.
-fn agent_side(kind: Option<SabotageKind>) -> Option<SabotageKind> {
+pub(crate) fn agent_side(kind: Option<SabotageKind>) -> Option<SabotageKind> {
     match kind {
         Some(SabotageKind::KillAfterRecords(_)) | None => None,
         other => other,

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use interlag_core::experiment::{ConfigSummary, Lab, LabConfig, StudyResult};
 use interlag_device::script::InteractionCategory;
-use interlag_faults::{ChaosProxy, NetFaults};
+use interlag_faults::{AgentSabotage, ChaosProxy, NetFaults, SabotageKind};
 use interlag_obs::{Counter, Recorder};
 use interlag_orchestrator::{
     run_sweep, ClientPolicy, SweepConfig, SweepOutcome, TcpAgentMode, TcpTransport,
@@ -84,13 +84,13 @@ fn tcp_sweep(
     client: ClientPolicy,
     tune: impl FnOnce(&mut SweepConfig),
 ) -> SweepOutcome {
-    tcp_sweep_lingering(lab, shards, tag, faults, seed, client, tune, false)
+    tcp_sweep_lingering(lab, shards, tag, faults, seed, client, tune, Vec::new(), false)
 }
 
-/// Like [`tcp_sweep`], optionally keeping the supervisor's listener (and
-/// the proxy) alive after the sweep until a zombie's stale Register has
-/// been fenced — the zombie's reconnect backoff deliberately outlives
-/// the sweep itself.
+/// Like [`tcp_sweep`], with scheduled agent sabotage, optionally keeping
+/// the supervisor's listener (and the proxy) alive after the sweep until
+/// a zombie's stale Register has been fenced — the zombie's reconnect
+/// backoff deliberately outlives the sweep itself.
 #[allow(clippy::too_many_arguments)]
 fn tcp_sweep_lingering(
     lab: &LabConfig,
@@ -100,6 +100,7 @@ fn tcp_sweep_lingering(
     seed: u64,
     client: ClientPolicy,
     tune: impl FnOnce(&mut SweepConfig),
+    sabotage: Vec<AgentSabotage>,
     await_fence: bool,
 ) -> SweepOutcome {
     let mut cfg = SweepConfig {
@@ -110,8 +111,11 @@ fn tcp_sweep_lingering(
         ..SweepConfig::new(shards, fresh_dir(tag))
     };
     tune(&mut cfg);
-    let mode =
-        TcpAgentMode::Thread { workload: Box::new(small_workload()), lab: Box::new(lab.clone()) };
+    let mode = TcpAgentMode::Thread {
+        workload: Box::new(small_workload()),
+        lab: Box::new(lab.clone()),
+        sabotage,
+    };
     let mut t = TcpTransport::bind("127.0.0.1:0", mode, Duration::from_millis(25), lab.obs.clone())
         .expect("bind transport");
     t.client = client;
@@ -233,11 +237,15 @@ fn zombie_agent_is_fenced_after_partition_and_redispatch() {
         retry_budget: 16,
         drain_timeout: Duration::from_secs(8),
     };
-    // The cut lands two frames in (Hello plus one heartbeat) and the
-    // watchdog is as tight as the CLI allows (4x the 25 ms heartbeat),
-    // so the kill catches the agent *mid-shard*: its journal cannot
-    // cover the shard at salvage, forcing a real re-dispatch — and a
-    // real superseded epoch for the zombie to trip over.
+    // Each first connection is cut two frames in, and the watchdog is as
+    // tight as the CLI allows (4x the 25 ms heartbeat). Shard 0's first
+    // agent wedges after its second checkpoint (a stage-1 shard owns many
+    // slots; an oracle shard owns one, so only stage 1 reaches it) until
+    // the watchdog kills it: it is *mid-shard* at the kill however fast
+    // it simulates, so its journal cannot cover the shard at salvage,
+    // forcing a real re-dispatch — and a real superseded epoch for the
+    // zombie to trip over.
+    let wedge = AgentSabotage { shard: 0, attempt: 0, kind: SabotageKind::WedgeAtCheckpoint(2) };
     let out = tcp_sweep_lingering(
         &lab,
         2,
@@ -249,6 +257,7 @@ fn zombie_agent_is_fenced_after_partition_and_redispatch() {
             cfg.heartbeat_timeout = Duration::from_millis(100);
             cfg.retry_budget = 4;
         },
+        vec![wedge],
         true,
     );
     assert!(!out.degraded, "{:?}", out.shards);

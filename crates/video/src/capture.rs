@@ -17,12 +17,12 @@ use interlag_evdev::rng::SplitMix64;
 use interlag_evdev::time::{SimDuration, SimTime};
 
 use crate::frame::FrameBuffer;
-use crate::stream::{VideoError, VideoStream};
 
 /// A device that turns screen contents into captured frames.
 ///
 /// Implementations may transform the pixels (noise, rolling brightness) but
-/// never drop or reorder frames; frame pacing is the recorder's job.
+/// never drop or reorder frames; frame pacing is the caller's job (the
+/// device captures one frame per frame period).
 pub trait CaptureLink {
     /// Captures the screen contents `screen` at time `time`.
     fn capture(&mut self, time: SimTime, screen: &FrameBuffer) -> Arc<FrameBuffer>;
@@ -103,76 +103,9 @@ impl CaptureLink for CameraCapture {
     }
 }
 
-/// Records a screen through a capture link into a [`VideoStream`] at a
-/// fixed frame rate.
-///
-/// Drive it from the simulation loop with [`VideoRecorder::poll`]; it
-/// samples the screen whenever a frame boundary has passed.
-#[derive(Debug)]
-pub struct VideoRecorder<L> {
-    link: L,
-    stream: VideoStream,
-    frame_period: SimDuration,
-    next_sample: SimTime,
-}
-
-impl<L: CaptureLink> VideoRecorder<L> {
-    /// Creates a recorder sampling every `frame_period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the period is zero.
-    pub fn new(link: L, frame_period: SimDuration) -> Self {
-        VideoRecorder {
-            link,
-            stream: VideoStream::new(frame_period),
-            frame_period,
-            next_sample: SimTime::ZERO,
-        }
-    }
-
-    /// Samples the screen if one or more frame boundaries have passed.
-    /// Call with monotonically non-decreasing `now`. If the loop stalls
-    /// past several boundaries the *current* screen contents are recorded
-    /// for each missed boundary, mirroring how a capture box repeats the
-    /// live signal.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`VideoError`] from the underlying stream; the recorder
-    /// samples on a strictly increasing grid, so this only fires if a
-    /// caller rewound time between polls.
-    pub fn poll(&mut self, now: SimTime, screen: &FrameBuffer) -> Result<(), VideoError> {
-        while self.next_sample <= now {
-            let t = self.next_sample;
-            let frame = self.link.capture(t, screen);
-            self.stream.push(t, frame)?;
-            self.next_sample = t + self.frame_period;
-        }
-        Ok(())
-    }
-
-    /// When the next frame is due; lets event-driven loops sleep exactly
-    /// until then.
-    pub fn next_due(&self) -> SimTime {
-        self.next_sample
-    }
-
-    /// The recording so far.
-    pub fn stream(&self) -> &VideoStream {
-        &self.stream
-    }
-
-    /// Stops recording and hands over the video file.
-    pub fn into_stream(self) -> VideoStream {
-        self.stream
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::FRAME_PERIOD_30FPS;
 
     #[test]
     fn hdmi_capture_is_lossless_and_dedups() {
@@ -206,31 +139,5 @@ mod tests {
         let a = CameraCapture::new(11).capture(SimTime::from_secs(2), &screen);
         let b = CameraCapture::new(11).capture(SimTime::from_secs(2), &screen);
         assert_eq!(a.as_ref(), b.as_ref());
-    }
-
-    #[test]
-    fn recorder_samples_at_frame_rate() {
-        let mut rec = VideoRecorder::new(HdmiCapture::new(), FRAME_PERIOD_30FPS);
-        let screen = FrameBuffer::new(4, 4);
-        // Advance one second in 1 ms steps.
-        for ms in 0..=1_000 {
-            rec.poll(SimTime::from_millis(ms), &screen).unwrap();
-        }
-        let n = rec.stream().len();
-        assert!((30..=32).contains(&n), "expected ~31 frames, got {n}");
-        assert_eq!(rec.stream().unique_frames(), 1);
-    }
-
-    #[test]
-    fn recorder_catches_up_after_a_stall() {
-        let mut rec = VideoRecorder::new(HdmiCapture::new(), FRAME_PERIOD_30FPS);
-        let screen = FrameBuffer::new(4, 4);
-        rec.poll(SimTime::ZERO, &screen).unwrap();
-        rec.poll(SimTime::from_secs(1), &screen).unwrap(); // a 1 s stall
-        assert!(rec.stream().len() >= 30);
-        // Timestamps stay on the frame grid.
-        for f in rec.stream().iter() {
-            assert_eq!(f.time.as_micros() % FRAME_PERIOD_30FPS.as_micros(), 0);
-        }
     }
 }

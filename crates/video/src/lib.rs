@@ -15,23 +15,25 @@
 //!
 //! # Examples
 //!
-//! Record a changing screen and check that the mask hides the clock:
+//! Capture a changing screen at 30 fps and check that the mask hides the
+//! clock:
 //!
 //! ```
 //! use interlag_evdev::time::SimTime;
-//! use interlag_video::capture::{CaptureLink, HdmiCapture, VideoRecorder};
+//! use interlag_video::capture::{CaptureLink, HdmiCapture};
 //! use interlag_video::frame::{FrameBuffer, Rect};
 //! use interlag_video::mask::{Mask, MatchTolerance};
-//! use interlag_video::stream::FRAME_PERIOD_30FPS;
+//! use interlag_video::stream::{VideoStream, FRAME_PERIOD_30FPS};
 //!
-//! let mut rec = VideoRecorder::new(HdmiCapture::new(), FRAME_PERIOD_30FPS);
+//! let mut link = HdmiCapture::new();
+//! let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
 //! let mut screen = FrameBuffer::new(64, 96);
-//! for ms in (0..2_000u64).step_by(10) {
+//! for i in 0..60u64 {
+//!     let t = SimTime::ZERO + FRAME_PERIOD_30FPS * i;
 //!     // The top row is a clock that redraws every second.
-//!     screen.fill_rect(Rect::new(0, 0, 64, 4), (ms / 1_000) as u8 + 10);
-//!     rec.poll(SimTime::from_millis(ms), &screen).unwrap();
+//!     screen.fill_rect(Rect::new(0, 0, 64, 4), (t.as_micros() / 1_000_000) as u8 + 10);
+//!     video.push(t, link.capture(t, &screen)).unwrap();
 //! }
-//! let video = rec.into_stream();
 //! let mask = Mask::status_bar(64, 4);
 //! let first = &video.frames()[0].buf;
 //! let last = &video.frames().last().unwrap().buf;
