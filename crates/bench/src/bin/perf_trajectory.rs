@@ -123,7 +123,7 @@ struct MatcherNumbers {
 }
 
 /// Marks up many pending lags over one video: the batched single walk
-/// (shared packing, masks and verdict caches) against the per-lag walker.
+/// (shared pointer runs, masks and verdict caches) against the per-lag walker.
 ///
 /// Paper-scale rep: a ten-minute 30 fps capture, a few dozen
 /// interactions whose endings are spread across the whole video. The

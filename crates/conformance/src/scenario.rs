@@ -160,7 +160,7 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics if no frame-boundary-safe start offset exists within
-    /// [`MAX_NUDGE_MS`] (impossible for the supported frame periods) or if
+    /// `MAX_NUDGE_MS` (impossible for the supported frame periods) or if
     /// the spec is internally inconsistent (e.g. zero taps).
     pub fn build(&self) -> Scenario {
         assert!(self.taps > 0, "scenario {} needs at least one tap", self.name);

@@ -143,7 +143,7 @@ impl IngestReport {
     }
 
     /// Records a human-readable note about a dropped piece, capped at
-    /// [`MAX_NOTES`] so an all-garbage file cannot balloon the report.
+    /// `MAX_NOTES` so an all-garbage file cannot balloon the report.
     pub fn note(&mut self, text: impl Into<String>) {
         if self.notes.len() < MAX_NOTES {
             self.notes.push(text.into());

@@ -16,10 +16,9 @@ use serde::{Deserialize, Serialize};
 use interlag_evdev::time::{SimDuration, SimTime};
 use interlag_journal::CancelToken;
 use interlag_obs::{Counter, Hist, Recorder, DISABLED};
-use interlag_video::arena::PackedVideo;
 use interlag_video::frame::FrameBuffer;
 use interlag_video::mask::{CompiledMask, MatchTolerance};
-use interlag_video::stream::VideoStream;
+use interlag_video::stream::{FrameRun, VideoStream};
 
 use crate::annotation::{AnnotationDb, LagAnnotation};
 use crate::profile::{LagEntry, LagProfile};
@@ -378,12 +377,11 @@ pub fn mark_up_with_policy_observed(
 /// to discard the repetition, so finishing the markup would only delay the
 /// cancellation it asked for.
 ///
-/// All lags of the call share one [`BatchMatcher`]: the video is packed in
-/// a single forward walk and every lag is resolved against the packed
-/// runs, so frame contents are compared at most once per (interaction,
-/// tolerance) no matter how many lags or escalation retries walk past
-/// them. Results are bit-identical to matching each lag separately with
-/// [`Matcher::match_lag_cancellable`].
+/// All lags of the call share one batched engine: the video's pointer
+/// runs are listed once and every lag walks them, so each run is compared
+/// at most once per (interaction, tolerance) no matter how many lags or
+/// escalation retries walk past it. Results are bit-identical to matching
+/// each lag separately with [`Matcher::match_lag_cancellable`].
 pub fn mark_up_cancellable(
     video: &VideoStream,
     lag_beginnings: &[(usize, SimTime)],
@@ -426,42 +424,40 @@ pub fn mark_up_cancellable(
 ///
 /// The per-lag [`Matcher`] walks the video frame by frame for every lag,
 /// re-judging content it has already seen on earlier lags. The batch
-/// engine instead packs the stream once — one forward walk deduplicating
-/// every frame content into a [`FrameArena`](interlag_video::FrameArena)
-/// and run-length encoding the sequence — and then resolves each lag by
-/// walking the content *runs*: O(distinct contents) comparisons and
-/// O(runs) verdict lookups per lag, instead of O(frames) pointer chases.
-/// Verdicts are memoised per arena slot in dense vectors keyed by
-/// (interaction, effective tolerance), so escalation retries and repeated
-/// interactions reuse every verdict already computed.
+/// engine walks the stream's pointer runs ([`VideoStream::runs`]) instead:
+/// every frame of a run shares one buffer, so one comparison against the
+/// run's first frame decides the whole run. Verdicts are memoised per run
+/// in dense vectors keyed by (interaction, effective tolerance), so
+/// escalation retries and repeated interactions reuse every verdict
+/// already computed.
 ///
 /// Matching semantics are exactly the per-lag matcher's: a run of
-/// consecutive matching frames is one occurrence, the walk starts at the
-/// first frame at/after the input time, and a match lands on the first
-/// frame of the occurrence (clipped to the walk's start when it begins
-/// mid-run).
+/// consecutive matching frames is one occurrence (adjacent runs that both
+/// match continue it), the walk starts at the first frame at/after the
+/// input time, and a match lands on the first frame of the occurrence
+/// (clipped to the walk's start when it begins mid-run).
 struct BatchMatcher<'a> {
     video: &'a VideoStream,
-    packed: PackedVideo,
+    runs: Vec<FrameRun>,
     /// Compiled masks, one per annotated interaction.
     compiled: HashMap<usize, CompiledMask>,
-    /// Slot verdicts per (interaction id, value tolerance, pixel budget):
-    /// dense over arena slots so a lookup is an index, not a hash.
+    /// Run verdicts per (interaction id, value tolerance, pixel budget):
+    /// dense over runs so a lookup is an index, not a hash.
     verdicts: HashMap<(usize, u8, u64), Vec<Option<bool>>>,
 }
 
 impl<'a> BatchMatcher<'a> {
-    /// Packs the video (the one forward walk) and readies empty caches.
+    /// Lists the video's pointer runs and readies empty caches.
     fn new(video: &'a VideoStream) -> Self {
         BatchMatcher {
             video,
-            packed: PackedVideo::pack(video),
+            runs: video.runs(),
             compiled: HashMap::new(),
             verdicts: HashMap::new(),
         }
     }
 
-    /// [`Matcher::match_lag_cancellable`], resolved against the packed
+    /// [`Matcher::match_lag_cancellable`], resolved against the pointer
     /// runs: identical escalation ladder, confidence and telemetry.
     fn match_lag(
         &mut self,
@@ -508,9 +504,10 @@ impl<'a> BatchMatcher<'a> {
     /// The run walk at one explicit tolerance — the batched analogue of
     /// [`Matcher::match_at`]. Telemetry mirrors the per-frame walk:
     /// `MatchWalkFrames` counts the frames the per-frame walk would have
-    /// visited, misses are verdicts actually computed, and frames beyond
-    /// the first of a run count as last-pointer hits (they are the same
-    /// still period the pointer cache absorbs).
+    /// visited, misses are verdicts actually computed, map hits are runs
+    /// whose verdict an earlier walk computed, and frames beyond the first
+    /// of a run count as last-pointer hits (they are the same still period
+    /// the pointer cache absorbs).
     fn walk(
         &mut self,
         input_time: SimTime,
@@ -526,14 +523,15 @@ impl<'a> BatchMatcher<'a> {
         let compiled = self.compiled.entry(annotation.interaction_id).or_insert_with(|| {
             annotation.mask.compile(annotation.image.width(), annotation.image.height())
         });
-        let arena = self.packed.arena();
+        let frames = self.video.frames();
         let cache = self
             .verdicts
             .entry((annotation.interaction_id, tolerance.value_tolerance, tolerance.pixel_budget))
-            .or_insert_with(|| vec![None; arena.len()]);
+            .or_insert_with(|| vec![None; self.runs.len()]);
+        let start = self.runs.partition_point(|r| r.first_frame + r.len <= first);
         let (mut walked, mut hit_last, mut hit_map, mut missed) = (0u64, 0u64, 0u64, 0u64);
         let result = 'walk: {
-            for run in &self.packed.runs()[self.packed.run_of_frame(first)..] {
+            for (r, run) in self.runs.iter().enumerate().skip(start) {
                 // One poll per run bounds cancellation latency at one
                 // frame comparison, tighter than the per-frame stride.
                 if cancel.is_cancelled() {
@@ -541,20 +539,19 @@ impl<'a> BatchMatcher<'a> {
                 }
                 let overlap_first = run.first_frame.max(first);
                 let overlap_len = (run.first_frame + run.len - overlap_first) as u64;
-                let matches = match cache[run.slot as usize] {
+                let matches = match cache[r] {
                     Some(verdict) => {
                         hit_map += 1;
                         verdict
                     }
                     None => {
                         missed += 1;
-                        let verdict = tolerance.matches_pixels(
+                        let verdict = tolerance.matches_compiled(
                             compiled,
                             &annotation.image,
-                            arena.pixels(run.slot),
-                            arena.digest(run.slot),
+                            &frames[run.first_frame as usize].buf,
                         );
-                        cache[run.slot as usize] = Some(verdict);
+                        cache[r] = Some(verdict);
                         verdict
                     }
                 };
@@ -562,7 +559,7 @@ impl<'a> BatchMatcher<'a> {
                     remaining -= 1;
                     if remaining == 0 {
                         walked += 1;
-                        let frame = &self.video.frames()[overlap_first as usize];
+                        let frame = &frames[overlap_first as usize];
                         break 'walk Ok(MatchedLag {
                             interaction_id: annotation.interaction_id,
                             end_frame: frame.index,

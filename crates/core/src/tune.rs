@@ -4,7 +4,7 @@
 //! §IV of the paper characterises the stock governors at their shipped
 //! tunable values and finds all of them far from the oracle. This module
 //! asks the follow-up question: *how much of that gap is tuning?* A
-//! [`PropGroup`](crate::propgroup::PropGroup) grid over a governor's
+//! [`PropGroup`] grid over a governor's
 //! exported tunables (the same `key=val:k-min/k-max/k-intvs` grammar the
 //! sweep matrix uses) expands into concrete [`GovernorSpec`]s, each grid
 //! point replays the workload under its tuned governor, and every

@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use interlag_core::annotation::LagAnnotation;
+use interlag_core::annotation::{AnnotationDb, LagAnnotation};
 use interlag_core::irritation::{user_irritation, ThresholdModel};
-use interlag_core::matcher::Matcher;
+use interlag_core::matcher::{mark_up_with_policy, MatchFailure, MatchPolicy, Matcher};
 use interlag_core::oracle::{build_oracle, OracleConfig};
 use interlag_core::profile::{LagEntry, LagProfile};
 use interlag_core::stats::{five_number, kernel_density, percentile_sorted};
@@ -40,6 +40,61 @@ fn arb_symbols() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec((0u8..6, 1usize..20), 1..25).prop_map(|runs| {
         runs.into_iter().flat_map(|(sym, len)| std::iter::repeat_n(sym, len)).collect()
     })
+}
+
+/// One stretch of a generated capture, covering the ways pointer runs
+/// and content can disagree.
+#[derive(Debug, Clone)]
+enum Segment {
+    /// A still period: one shared buffer per symbol, reused by every
+    /// segment naming it, so pointers bounce back after other content.
+    Still(u8, usize),
+    /// Fresh allocations with equal content side by side: one content,
+    /// many pointer runs.
+    Fresh(u8, usize),
+    /// `A, B, A, …` alternating between two shared buffers.
+    Bounce(u8, u8, usize),
+    /// A single frame of the symbol with `n` pixels corrupted.
+    Corrupt(u8, u8),
+}
+
+fn arb_segments() -> impl Strategy<Value = Vec<Segment>> {
+    let segment = prop_oneof![
+        (0u8..4, 1usize..12).prop_map(|(s, n)| Segment::Still(s, n)),
+        (0u8..4, 1usize..6).prop_map(|(s, n)| Segment::Fresh(s, n)),
+        (0u8..4, 0u8..4, 2usize..7).prop_map(|(a, b, n)| Segment::Bounce(a, b, n)),
+        (0u8..4, 1u8..9).prop_map(|(s, n)| Segment::Corrupt(s, n)),
+    ];
+    prop::collection::vec(segment, 1..12)
+}
+
+/// Builds the capture a segment list describes, one frame per 30 fps
+/// slot.
+fn video_of_segments(segments: &[Segment]) -> VideoStream {
+    let shared: Vec<Arc<FrameBuffer>> = (0..4).map(frame_of).collect();
+    let mut bufs: Vec<Arc<FrameBuffer>> = Vec::new();
+    for segment in segments {
+        match *segment {
+            Segment::Still(s, n) => bufs.extend(std::iter::repeat_n(shared[s as usize].clone(), n)),
+            Segment::Fresh(s, n) => bufs.extend((0..n).map(|_| frame_of(s))),
+            Segment::Bounce(a, b, n) => {
+                bufs.extend((0..n).map(|i| shared[if i % 2 == 0 { a } else { b } as usize].clone()))
+            }
+            Segment::Corrupt(s, n) => {
+                let mut f = frame_of(s).as_ref().clone();
+                for i in 0..n as u32 {
+                    let (x, y) = (i * 7 % 16, 4 + i * 3 % 12);
+                    f.set(x, y, f.get(x, y) ^ 0x0f);
+                }
+                bufs.push(Arc::new(f));
+            }
+        }
+    }
+    let mut v = VideoStream::new(FRAME_PERIOD_30FPS);
+    for (i, buf) in bufs.into_iter().enumerate() {
+        v.push(SimTime::from_micros(i as u64 * 33_333), buf).unwrap();
+    }
+    v
 }
 
 proptest! {
@@ -260,6 +315,77 @@ proptest! {
         // The digest-gated EXACT path is exactly frame equality.
         prop_assert_eq!(MatchTolerance::EXACT.matches(&Mask::new(), &a, &b), a == b);
         prop_assert_eq!((a.digest() == b.digest()) || a != b, true);
+    }
+
+    /// The batched matcher, walking pointer runs with per-run verdicts,
+    /// returns exactly what a per-lag frame walk returns — entries and
+    /// failures — on captures whose pointer runs and content disagree
+    /// (equal content in fresh buffers, pointer bounces, corrupted
+    /// frames), for inputs landing mid-run, occurrences 1–3, masked and
+    /// unmasked annotations, and both policies.
+    #[test]
+    fn batched_mark_up_equals_per_lag_walks(
+        segments in arb_segments(),
+        // (symbol, occurrence, masked, exact, value tolerance, pixel budget)
+        annotations in prop::collection::vec(
+            (0u8..4, 1u32..4, 0u8..2, 0u8..2, 0u8..3, 0u64..4),
+            1..5,
+        ),
+        lags in prop::collection::vec((0usize..6, 0u64..1_000), 1..10),
+        recovery in 0u8..2,
+    ) {
+        let video = video_of_segments(&segments);
+        let mut db = AnnotationDb::new("prop");
+        for (id, &(symbol, occurrence, masked, exact, value_tolerance, pixel_budget)) in
+            annotations.iter().enumerate()
+        {
+            let mut image = frame_of(symbol).as_ref().clone();
+            let mask = if masked == 1 { Mask::status_bar(16, 2) } else { Mask::new() };
+            mask.apply(&mut image);
+            db.insert(LagAnnotation {
+                interaction_id: id,
+                image,
+                mask,
+                tolerance: if exact == 1 {
+                    MatchTolerance::EXACT
+                } else {
+                    MatchTolerance { value_tolerance, pixel_budget }
+                },
+                occurrence,
+                threshold: SimDuration::from_secs(1),
+            });
+        }
+        // Input times in thousandths of the capture (plus a little past
+        // its end), so most land between frame slots.
+        let span = video.len() as u64 * 33_333 + 50_000;
+        let beginnings: Vec<(usize, SimTime)> = lags
+            .iter()
+            .map(|&(id, at)| (id, SimTime::from_micros(span * at / 1_000)))
+            .collect();
+        let policy = if recovery == 1 { MatchPolicy::paper_recovery() } else { MatchPolicy::strict() };
+
+        let (profile, failures) = mark_up_with_policy(&video, &beginnings, &db, "prop", &policy);
+
+        let matcher = Matcher::new();
+        let mut expected = LagProfile::new("prop");
+        let mut expected_failures = Vec::new();
+        for &(id, input_time) in &beginnings {
+            match db.get(id) {
+                None => expected_failures.push((id, MatchFailure::NotAnnotated)),
+                Some(ann) => match matcher.match_lag_with_policy(&video, input_time, ann, &policy) {
+                    Ok(m) => expected.push(LagEntry {
+                        interaction_id: id,
+                        input_time,
+                        lag: m.lag,
+                        threshold: ann.threshold,
+                        confidence: m.confidence,
+                    }),
+                    Err(f) => expected_failures.push((id, f)),
+                },
+            }
+        }
+        prop_assert_eq!(profile.entries(), expected.entries());
+        prop_assert_eq!(failures, expected_failures);
     }
 
     /// Statistics invariants on arbitrary data.

@@ -15,7 +15,7 @@
 //!   (validate → quarantine or fold → persist);
 //! * [`sketch`] — integer-exact mergeable aggregates, the algebra that
 //!   makes every fold order produce identical bytes;
-//! * [`query`] — property-group queries and Markdown/CSV export.
+//! * [`query`](mod@query) — property-group queries and Markdown/CSV export.
 //!
 //! The load-bearing invariant, proven by the merge-algebra property
 //! tests: for any submission set, any ingest order and any partition

@@ -3,7 +3,7 @@
 //! Figure 10 of the paper counts, for every dataset, how many recorded
 //! inputs were taps and how many were swipes. That classification starts
 //! from the raw event trace: contacts are reconstructed with the
-//! [`MtDecoder`](crate::mt::MtDecoder) and each contact's travel distance
+//! [`MtDecoder`] and each contact's travel distance
 //! decides tap vs swipe. Hardware key presses are reported separately.
 
 use serde::{Deserialize, Serialize};

@@ -8,7 +8,7 @@
 //! profile, so its wave can only start once stage 1 is merged).
 //!
 //! Everything here is pure arithmetic over
-//! [`StudyScope`](interlag_core::experiment::StudyScope) so the
+//! [`StudyScope`] so the
 //! supervisor and every agent compute the *same* assignment without
 //! talking to each other — the assignment is part of the protocol.
 

@@ -25,7 +25,7 @@
 //!
 //! The wave's records — streamed checkpoints plus every attempt journal
 //! salvaged from disk — pass the merge gauntlet of
-//! [`MergeOutcome`](crate::merge::MergeOutcome), are written as one
+//! [`MergeOutcome`], are written as one
 //! slot-ordered merged journal, and a final *local* [`Lab::study_with`]
 //! replays it. Replayed repetitions are bit-exact and the irritation
 //! pass runs identically on the replay path, so the merged report is

@@ -1,6 +1,6 @@
 //! Multi-machine sweeps: the TCP transport and its resumable client.
 //!
-//! [`TcpTransport`] is a third [`Transport`](crate::transport::Transport)
+//! [`TcpTransport`] is a third [`Transport`]
 //! next to the process and thread ones: agents connect to the supervisor
 //! over TCP and speak the same CRC-framed wire protocol, wrapped in the
 //! [`session`](crate::session) envelope. What the envelope buys over a

@@ -3,7 +3,7 @@
 //! A [`Transport`] turns a [`ShardTask`] into a running agent and a
 //! stream of tagged [`AgentEvent`]s on a channel the supervisor owns.
 //! Two implementations share one receive pipeline (mangle → reframe →
-//! parse, in [`LinePump`]):
+//! parse, in `LinePump`):
 //!
 //! * [`ProcessTransport`] — the real thing: spawns `interlag agent`
 //!   child processes with piped stdout, so agent crashes are real

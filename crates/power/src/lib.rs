@@ -7,7 +7,7 @@
 //! * [`opp`] — frequencies and the 14-point Snapdragon 8074 OPP table;
 //! * [`model`] — the parametric CMOS power model with its race-to-idle
 //!   optimum at 0.96 GHz;
-//! * [`calibrate`] — the paper's micro-benchmark calibration procedure,
+//! * [`calibrate`](mod@calibrate) — the paper's micro-benchmark calibration procedure,
 //!   producing the measured per-frequency dynamic-power table;
 //! * [`energy`] — integrating frequency/load traces into energy reports.
 //!

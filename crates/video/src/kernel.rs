@@ -2,7 +2,7 @@
 //!
 //! Every frame-matching question in the pipeline reduces to "how many
 //! bytes of these two equal-length slices differ by more than `tol`?",
-//! asked millions of times per study. On x86-64 the [`sse2`] module
+//! asked millions of times per study. On x86-64 the `sse2` module
 //! answers it sixteen pixels per vector with three saturating
 //! subtractions and a `movemask`/`popcount`; everywhere else the portable
 //! kernels answer it eight pixels per `u64` using SWAR
@@ -15,15 +15,15 @@
 //!   classic nonzero-byte mask `(((x & !H) + !H) | x) & H` and one
 //!   `popcount`;
 //! * for general `tol`, per-byte saturating comparisons are built from a
-//!   borrow-free packed subtraction ([`swar_sub`]) and an unsigned
-//!   per-byte less-than ([`swar_lt`]), so `|a − b| > tol` is evaluated for
+//!   borrow-free packed subtraction (`swar_sub`) and an unsigned
+//!   per-byte less-than (`swar_lt`), so `|a − b| > tol` is evaluated for
 //!   all eight lanes at once;
 //! * the early-exit form gives up as soon as the mismatch budget is
 //!   blown, checked once per word rather than once per pixel.
 //!
 //! Heads and tails that do not fill a word fall back to the scalar loop.
 //! The pre-kernel per-pixel implementation is kept verbatim in
-//! [`reference`]; property tests (`tests/kernel_equivalence.rs`) pin the
+//! [`reference`](mod@reference); property tests (`tests/kernel_equivalence.rs`) pin the
 //! kernels to it over random frames, tolerances and slice lengths, and
 //! the `perf_trajectory` bench reports the speedup per PR.
 

@@ -6,11 +6,12 @@
 //! compare frames under masks and tolerances. This crate provides that
 //! entire imaging layer:
 //!
-//! * [`frame`] — 8-bit grayscale [`FrameBuffer`](frame::FrameBuffer)s and
+//! * [`frame`] — 8-bit grayscale [`FrameBuffer`]s and
 //!   rectangle arithmetic;
 //! * [`mask`] — excluded-region masks and match tolerances (clock,
 //!   advertisements, blinking cursors — Figure 8 of the paper);
-//! * [`stream`] — timed frame sequences with identical-frame sharing;
+//! * [`stream`] — timed frame sequences with identical-frame sharing, and
+//!   their pointer runs;
 //! * [`capture`] — the lossless HDMI path and a noisy camera model.
 //!
 //! # Examples
@@ -44,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
 pub mod capture;
 pub mod frame;
 pub mod kernel;
@@ -52,8 +52,7 @@ pub mod manifest;
 pub mod mask;
 pub mod stream;
 
-pub use arena::{FrameArena, FrameRun, PackedVideo};
 pub use frame::{FrameBuffer, Rect};
 pub use manifest::{parse_manifest, parse_manifest_salvage, ManifestDefect, ManifestError};
 pub use mask::{Mask, MatchTolerance};
-pub use stream::{VideoError, VideoFrame, VideoStream, FRAME_PERIOD_30FPS};
+pub use stream::{FrameRun, VideoError, VideoFrame, VideoStream, FRAME_PERIOD_30FPS};

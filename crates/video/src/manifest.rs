@@ -283,7 +283,7 @@ mod tests {
         let stream = parse_manifest(GOOD).unwrap();
         assert_eq!(stream.len(), 3);
         assert_eq!(stream.frame_period(), SimDuration::from_micros(33_333));
-        assert_eq!(stream.unique_frames(), 2);
+        assert_eq!(stream.runs().len(), 2);
         assert_eq!(stream.frames()[2].time, SimTime::from_micros(66_666));
     }
 
@@ -343,7 +343,7 @@ mod tests {
         let text = to_manifest_text(&stream);
         let again = parse_manifest(&text).unwrap();
         assert_eq!(again.len(), stream.len());
-        assert_eq!(again.unique_frames(), stream.unique_frames());
+        assert_eq!(again.runs(), stream.runs());
         assert_eq!(again.frame_period(), stream.frame_period());
         for (x, y) in again.frames().iter().zip(stream.frames()) {
             assert_eq!(x.time, y.time);

@@ -243,27 +243,15 @@ impl CompiledMask {
 
     /// Number of unmasked pixels differing by more than `value_tolerance`;
     /// agrees exactly with [`Mask::count_diff`] on the mask it was compiled
-    /// from.
+    /// from. Each included span runs through the word kernels
+    /// ([`crate::kernel`]).
     ///
     /// # Panics
     ///
     /// Panics if either frame's dimensions differ from the compiled size.
     pub fn count_diff(&self, a: &FrameBuffer, b: &FrameBuffer, value_tolerance: u8) -> u64 {
         self.check_dims(a, b);
-        self.count_diff_pixels(a.pixels(), b.pixels(), value_tolerance)
-    }
-
-    /// [`CompiledMask::count_diff`] over raw row-major pixel slices — the
-    /// form arena-backed matching uses, where the candidate frame is a
-    /// slice of one big allocation rather than a [`FrameBuffer`]. Each
-    /// included span runs through the word kernels ([`crate::kernel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length differs from the compiled
-    /// `width × height`.
-    pub fn count_diff_pixels(&self, a: &[u8], b: &[u8], value_tolerance: u8) -> u64 {
-        self.check_len(a, b);
+        let (a, b) = (a.pixels(), b.pixels());
         let mut count = 0u64;
         for (y, spans) in self.rows.iter().enumerate() {
             let row = y * self.width as usize;
@@ -290,24 +278,7 @@ impl CompiledMask {
         limit: u64,
     ) -> bool {
         self.check_dims(a, b);
-        self.differs_more_than_pixels(a.pixels(), b.pixels(), value_tolerance, limit)
-    }
-
-    /// [`CompiledMask::differs_more_than`] over raw row-major pixel
-    /// slices; see [`CompiledMask::count_diff_pixels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length differs from the compiled
-    /// `width × height`.
-    pub fn differs_more_than_pixels(
-        &self,
-        a: &[u8],
-        b: &[u8],
-        value_tolerance: u8,
-        limit: u64,
-    ) -> bool {
-        self.check_len(a, b);
+        let (a, b) = (a.pixels(), b.pixels());
         if value_tolerance == 0 && limit == 0 {
             // Bit-exact with zero budget: one memcmp per included span.
             for (y, spans) in self.rows.iter().enumerate() {
@@ -333,12 +304,6 @@ impl CompiledMask {
             }
         }
         false
-    }
-
-    fn check_len(&self, a: &[u8], b: &[u8]) {
-        let expect = self.width as usize * self.height as usize;
-        assert_eq!(a.len(), expect, "pixel slice does not match compiled mask dimensions");
-        assert_eq!(b.len(), expect, "pixel slice does not match compiled mask dimensions");
     }
 }
 
@@ -408,39 +373,6 @@ impl MatchTolerance {
             return a.pixels() == b.pixels();
         }
         !mask.differs_more_than(a, b, self.value_tolerance, self.pixel_budget)
-    }
-
-    /// [`MatchTolerance::matches_compiled`] where the candidate is a raw
-    /// pixel slice with a precomputed content digest — the arena-backed
-    /// matcher compares annotation images against
-    /// [`FrameArena`](crate::arena::FrameArena) slots without ever
-    /// materialising a `FrameBuffer`. Agrees exactly with
-    /// `matches_compiled` on the same content.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a`'s dimensions or `b`'s length differ from the
-    /// compiled size.
-    pub fn matches_pixels(
-        &self,
-        mask: &CompiledMask,
-        a: &FrameBuffer,
-        b: &[u8],
-        b_digest: u64,
-    ) -> bool {
-        if self.is_exact() && mask.is_unobstructed() {
-            assert_eq!(
-                (mask.width, mask.height),
-                (a.width(), a.height()),
-                "frame does not match compiled mask dimensions"
-            );
-            mask.check_len(a.pixels(), b);
-            if a.digest() != b_digest {
-                return false;
-            }
-            return a.pixels() == b;
-        }
-        !mask.differs_more_than_pixels(a.pixels(), b, self.value_tolerance, self.pixel_budget)
     }
 }
 

@@ -173,19 +173,50 @@ impl VideoStream {
         }
     }
 
-    /// Number of distinct frame allocations; still periods make this far
-    /// smaller than `len()`.
-    pub fn unique_frames(&self) -> usize {
-        let mut n = 0;
-        let mut prev: Option<&Arc<FrameBuffer>> = None;
+    /// The stream as pointer runs: maximal runs of consecutive frames
+    /// sharing one `Arc`, in stream order. Still periods make this far
+    /// shorter than `len()`. Derived in one pointer-compare pass, without
+    /// digests or pixel copies. Two runs may hold equal content (a screen
+    /// re-rendered into a fresh buffer, or an `A, B, A` bounce), so a
+    /// consumer judging runs by content must not assume they differ.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use interlag_evdev::time::SimTime;
+    /// use interlag_video::frame::FrameBuffer;
+    /// use interlag_video::stream::{FrameRun, VideoStream, FRAME_PERIOD_30FPS};
+    ///
+    /// let mut v = VideoStream::new(FRAME_PERIOD_30FPS);
+    /// let still = Arc::new(FrameBuffer::new(4, 4));
+    /// for i in 0..5u64 {
+    ///     v.push(SimTime::from_micros(i * 33_333), still.clone()).unwrap();
+    /// }
+    /// assert_eq!(v.runs(), vec![FrameRun { first_frame: 0, len: 5 }]);
+    /// ```
+    pub fn runs(&self) -> Vec<FrameRun> {
+        let mut runs: Vec<FrameRun> = Vec::new();
         for f in &self.frames {
-            if prev.is_none_or(|p| !Arc::ptr_eq(p, &f.buf)) {
-                n += 1;
+            match runs.last_mut() {
+                Some(run) if Arc::ptr_eq(&self.frames[run.first_frame as usize].buf, &f.buf) => {
+                    run.len += 1
+                }
+                _ => runs.push(FrameRun { first_frame: f.index, len: 1 }),
             }
-            prev = Some(&f.buf);
         }
-        n
+        runs
     }
+}
+
+/// One maximal run of consecutive frames sharing one buffer; see
+/// [`VideoStream::runs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRun {
+    /// Index of the run's first frame.
+    pub first_frame: u32,
+    /// Number of consecutive frames in the run.
+    pub len: u32,
 }
 
 impl<'a> IntoIterator for &'a VideoStream {
@@ -246,15 +277,19 @@ mod tests {
     }
 
     #[test]
-    fn unique_frames_counts_allocations() {
+    fn runs_split_on_pointer_changes() {
         let mut s = VideoStream::new(FRAME_PERIOD_30FPS);
         let a = frame(1);
         s.push(SimTime::from_micros(0), a.clone()).unwrap();
         s.push(SimTime::from_micros(33_333), a.clone()).unwrap();
         s.push(SimTime::from_micros(66_666), frame(2)).unwrap();
         s.push(SimTime::from_micros(99_999), a).unwrap();
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.unique_frames(), 3);
+        // A fresh buffer with equal content still starts a run.
+        s.push(SimTime::from_micros(133_332), frame(1)).unwrap();
+        assert_eq!(s.len(), 5);
+        let runs: Vec<(u32, u32)> = s.runs().iter().map(|r| (r.first_frame, r.len)).collect();
+        assert_eq!(runs, [(0, 2), (2, 1), (3, 1), (4, 1)]);
+        assert!(VideoStream::new(FRAME_PERIOD_30FPS).runs().is_empty());
     }
 
     #[test]

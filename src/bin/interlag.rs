@@ -530,22 +530,24 @@ fn flag_values(args: &[String], names: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// Parses an agent-side sabotage flag: `crash@N`, `wedge@N`, `tear@N`.
-fn parse_agent_sabotage(flag: &str) -> Option<SabotageKind> {
+/// Parses a sabotage kind, `crash@N`, `wedge@N` or `tear@N`; with
+/// `supervisor_side`, also `kill@N` (the supervisor kills the agent at the
+/// Nth received checkpoint frame, which an agent cannot do to itself).
+fn parse_sabotage_kind(flag: &str, supervisor_side: bool) -> Option<SabotageKind> {
     let (kind, at) = flag.split_once('@')?;
     let at: u32 = at.parse().ok()?;
     match kind {
         "crash" => Some(SabotageKind::CrashAtCheckpoint(at)),
         "wedge" => Some(SabotageKind::WedgeAtCheckpoint(at)),
         "tear" => Some(SabotageKind::TearJournal(at)),
+        "kill" if supervisor_side => Some(SabotageKind::KillAfterRecords(at)),
         _ => None,
     }
 }
 
 /// Parses a supervisor sabotage schedule entry,
 /// `KIND@CKPT:SHARD:ATTEMPT` (e.g. `crash@2:0:0`; `ATTEMPT` may be `*`
-/// for every attempt the retry budget allows). `kill` is the
-/// supervisor-side kill at the Nth received checkpoint frame.
+/// for every attempt the retry budget allows).
 fn parse_sweep_sabotage(entry: &str, budget: u32) -> Option<Vec<AgentSabotage>> {
     let mut parts = entry.split(':');
     let kind_at = parts.next()?;
@@ -554,15 +556,7 @@ fn parse_sweep_sabotage(entry: &str, budget: u32) -> Option<Vec<AgentSabotage>> 
     if parts.next().is_some() {
         return None;
     }
-    let (kind, at) = kind_at.split_once('@')?;
-    let at: u32 = at.parse().ok()?;
-    let kind = match kind {
-        "crash" => SabotageKind::CrashAtCheckpoint(at),
-        "wedge" => SabotageKind::WedgeAtCheckpoint(at),
-        "tear" => SabotageKind::TearJournal(at),
-        "kill" => SabotageKind::KillAfterRecords(at),
-        _ => return None,
-    };
+    let kind = parse_sabotage_kind(kind_at, true)?;
     let attempts: Vec<u32> =
         if attempt == "*" { (0..=budget).collect() } else { vec![attempt.parse().ok()?] };
     Some(attempts.into_iter().map(|attempt| AgentSabotage { shard, attempt, kind }).collect())
@@ -597,7 +591,7 @@ fn cmd_agent(w: &Workload, args: &[String]) -> ExitCode {
     let heartbeat = flag_or!(args, &["--heartbeat-ms"], 1_000u64);
     let sabotage = match flag_value(args, &["--sabotage"]) {
         None => None,
-        Some(flag) => match parse_agent_sabotage(&flag) {
+        Some(flag) => match parse_sabotage_kind(&flag, false) {
             Some(kind) => Some(kind),
             None => {
                 eprintln!("interlag: bad --sabotage {flag:?} (crash@N, wedge@N, tear@N)");
