@@ -28,8 +28,8 @@
 //! quantum capture the screen the step started with, which nothing in the
 //! step could change.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use serde::{Deserialize, Serialize};
 
@@ -184,6 +184,10 @@ impl RunArtifacts {
 
 /// The simulated phone.
 ///
+/// A device may run many workloads, one after another or at once from
+/// several threads: an equal screen is painted once and shared by every
+/// run that shows it while any of them holds it.
+///
 /// # Examples
 ///
 /// See the crate-level documentation for a complete record→replay→capture
@@ -192,6 +196,63 @@ impl RunArtifacts {
 pub struct Device {
     config: DeviceConfig,
     renderer: Renderer,
+    screens: Mutex<ScreenMemo>,
+}
+
+/// The screens a device has painted, by content key: a screen is a pure
+/// function of its scene and decorations. Values are weak, so the memo
+/// keeps no screen alive; at most one live buffer exists per key, which
+/// makes a run's frame pointers depend on that run alone.
+#[derive(Debug, Default)]
+struct ScreenMemo {
+    /// Keyed by scene first, so a lookup borrows the scene it has.
+    screens: HashMap<Scene, HashMap<DecorationState, Weak<FrameBuffer>>>,
+    /// Entries, live or dead.
+    len: usize,
+    /// Entries left by the last prune.
+    pruned_len: usize,
+}
+
+impl ScreenMemo {
+    /// Dead entries are dropped whenever the memo has doubled since the
+    /// last prune, and not before it holds this many.
+    const PRUNE_FLOOR: usize = 1024;
+
+    fn get(&self, scene: &Scene, deco: &DecorationState) -> Option<Arc<FrameBuffer>> {
+        self.screens.get(scene)?.get(deco)?.upgrade()
+    }
+
+    /// Remembers `fresh` as the screen for (`scene`, `deco`), unless a
+    /// live one was remembered since the caller's miss; returns the one
+    /// to show.
+    fn insert(
+        &mut self,
+        scene: &Scene,
+        deco: DecorationState,
+        fresh: Arc<FrameBuffer>,
+    ) -> Arc<FrameBuffer> {
+        let decos = match self.screens.get_mut(scene) {
+            Some(decos) => decos,
+            None => self.screens.entry(scene.clone()).or_default(),
+        };
+        let slot = decos.entry(deco).or_insert_with(|| {
+            self.len += 1;
+            Weak::new()
+        });
+        if let Some(live) = slot.upgrade() {
+            return live;
+        }
+        *slot = Arc::downgrade(&fresh);
+        if self.len >= (2 * self.pruned_len).max(Self::PRUNE_FLOOR) {
+            self.screens.retain(|_, decos| {
+                decos.retain(|_, screen| screen.strong_count() > 0);
+                !decos.is_empty()
+            });
+            self.len = self.screens.values().map(HashMap::len).sum();
+            self.pruned_len = self.len;
+        }
+        fresh
+    }
 }
 
 impl Device {
@@ -204,7 +265,7 @@ impl Device {
         assert!(!config.quantum.is_zero(), "quantum must be positive");
         assert!(config.quantum <= config.frame_period, "quantum must not exceed the frame period");
         let renderer = Renderer::new(config.screen);
-        Device { config, renderer }
+        Device { config, renderer, screens: Mutex::default() }
     }
 
     /// The device configuration.
@@ -325,13 +386,14 @@ impl Device {
         let mut spinner_frame = 0u64;
         let mut next_render_spawn = SimTime::ZERO;
         let mut deco = DecorationState::at(SimTime::ZERO, &scene, spinner_frame);
-        let mut screen: Arc<FrameBuffer> = Arc::new(self.renderer.render(&scene, &deco));
         let mut dirty = false;
 
         // --- state: capture ----------------------------------------------
-        let mut video = match cfg.capture {
+        // The video and the screen it captures. The screen is seen only
+        // through captured frames, so a run without capture paints none.
+        let mut capture = match cfg.capture {
             CaptureMode::None => None,
-            _ => Some(VideoStream::new(cfg.frame_period)),
+            _ => Some((VideoStream::new(cfg.frame_period), self.screen(&scene, deco, None))),
         };
         let mut next_frame_at = SimTime::ZERO;
 
@@ -634,28 +696,31 @@ impl Device {
 
             // 7a. Capture the frames due before the step's last quantum: the
             // step changed neither scene nor decorations in them.
-            if let Some(video) = video.as_mut() {
+            if let Some((video, screen)) = capture.as_mut() {
                 while next_frame_at <= qend - quantum {
-                    Self::capture(video, link.as_deref_mut(), next_frame_at, &screen)?;
+                    Self::capture(video, link.as_deref_mut(), next_frame_at, screen)?;
                     next_frame_at += cfg.frame_period;
                 }
             }
 
-            // 7b. Repaint if the scene changed; if only a decoration did,
+            // 7b. With capture on, show the new scene and decorations:
+            // repaint if the scene changed; if only a decoration did,
             // repaint just the decorations that changed.
             let new_deco = DecorationState::at(qend, &scene, spinner_frame);
-            if dirty {
-                screen = Arc::new(self.renderer.render(&scene, &new_deco));
-                dirty = false;
-            } else if new_deco != deco {
-                screen = Arc::new(self.renderer.redecorate(&screen, &scene, &deco, &new_deco));
+            if let Some((_, screen)) = capture.as_mut() {
+                if dirty {
+                    *screen = self.screen(&scene, new_deco, None);
+                } else if new_deco != deco {
+                    *screen = self.screen(&scene, new_deco, Some((screen, &deco)));
+                }
             }
+            dirty = false;
             deco = new_deco;
 
             // 8. Capture the frames due in the step's last quantum.
-            if let Some(video) = video.as_mut() {
+            if let Some((video, screen)) = capture.as_mut() {
                 while next_frame_at <= qend {
-                    Self::capture(video, link.as_deref_mut(), next_frame_at, &screen)?;
+                    Self::capture(video, link.as_deref_mut(), next_frame_at, screen)?;
                     next_frame_at += cfg.frame_period;
                 }
             }
@@ -666,6 +731,7 @@ impl Device {
         cfg.obs.count(interlag_obs::Counter::InputBoosts, obs_input_boosts);
         cfg.obs.count(interlag_obs::Counter::GovernorSamples, obs_samples);
         cfg.obs.count(interlag_obs::Counter::FreqTransitions, obs_transitions);
+        let video = capture.map(|(video, _)| video);
         let frames = video.as_ref().map_or(0, VideoStream::len);
         cfg.obs.count(interlag_obs::Counter::FramesCaptured, frames as u64);
 
@@ -678,6 +744,29 @@ impl Device {
             input_faults,
             end_time: now,
         })
+    }
+
+    /// The screen showing `scene` under `deco`: a live screen painted for
+    /// the same key, by this run or any other, else a fresh paint —
+    /// `prev`, the screen of `scene` under other decorations, with the
+    /// changed decorations repainted, or a whole render. The memo's
+    /// contents are pure, so a panic elsewhere cannot leave them wrong and
+    /// a poisoned lock is taken as is.
+    fn screen(
+        &self,
+        scene: &Scene,
+        deco: DecorationState,
+        prev: Option<(&FrameBuffer, &DecorationState)>,
+    ) -> Arc<FrameBuffer> {
+        let memo = || self.screens.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(shared) = memo().get(scene, &deco) {
+            return shared;
+        }
+        let fresh = Arc::new(match prev {
+            Some((prev, from)) => self.renderer.redecorate(prev, scene, from, &deco),
+            None => self.renderer.render(scene, &deco),
+        });
+        memo().insert(scene, deco, fresh)
     }
 
     /// Captures `screen` into `video` as the frame at `at`, through `link`
@@ -1246,5 +1335,45 @@ mod tests {
         for (x, y) in va.iter().zip(vb.iter()) {
             assert_eq!(x.buf.as_ref(), y.buf.as_ref());
         }
+    }
+
+    #[test]
+    fn the_screen_memo_shares_live_screens_and_prunes_dead_ones() {
+        let mut memo = ScreenMemo::default();
+        let scene = Scene::default();
+        let deco =
+            |secs| DecorationState { clock_seconds: secs, cursor_on: false, spinner_frame: 0 };
+        let live = memo.insert(&scene, deco(0), Arc::new(FrameBuffer::new(4, 4)));
+        // A second paint of a live key yields the screen already shown.
+        let again = memo.insert(&scene, deco(0), Arc::new(FrameBuffer::new(4, 4)));
+        assert!(Arc::ptr_eq(&live, &again));
+        assert!(Arc::ptr_eq(&memo.get(&scene, &deco(0)).expect("live"), &live));
+        // Screens no run holds are forgotten: the memo stays within twice
+        // what is alive (or the floor) however many keys pass through it.
+        for secs in 1..10 * ScreenMemo::PRUNE_FLOOR as u64 {
+            memo.insert(&scene, deco(secs), Arc::new(FrameBuffer::new(4, 4)));
+            assert!(memo.len <= 2 * ScreenMemo::PRUNE_FLOOR);
+        }
+        assert!(memo.get(&scene, &deco(1)).is_none());
+        assert!(Arc::ptr_eq(&memo.get(&scene, &deco(0)).expect("still live"), &live));
+    }
+
+    #[test]
+    fn a_panic_holding_the_screen_memo_does_not_stop_later_runs() {
+        let device = Device::default();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _memo = device.screens.lock();
+                panic!("a job panics mid-repaint");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && device.screens.is_poisoned());
+        let script = simple_script();
+        let mut gov = FixedGovernor::new(Frequency::from_mhz(960));
+        let run = device
+            .run(&script, ReplayAgent::new(script.record_trace()), &mut gov, SimTime::from_secs(5))
+            .expect("clean run");
+        assert_eq!(run.interactions, run_fixed(960, &script).interactions);
     }
 }

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use interlag_video::frame::Rect;
 
 /// One rectangular UI element with a reproducible texture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Element {
     /// Where the element is drawn.
     pub rect: Rect,
@@ -39,7 +39,7 @@ impl Element {
 }
 
 /// The current contents of the screen below the status bar.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Scene {
     /// Background texture seed.
     pub background_seed: u64,

@@ -142,6 +142,16 @@ impl FrameBuffer {
         FrameBuffer { width, height, pixels, digest: DigestCell::default() }
     }
 
+    /// A frame whose digest cache already holds `digest`, whatever its
+    /// pixels: two such frames can collide, which real 64-bit digests do
+    /// too rarely to test.
+    #[cfg(test)]
+    pub(crate) fn with_digest(width: u32, height: u32, pixels: Vec<u8>, digest: u64) -> Self {
+        let fb = FrameBuffer::from_pixels(width, height, pixels);
+        fb.digest.0.set(digest).expect("fresh digest cell");
+        fb
+    }
+
     /// Frame width in pixels.
     pub fn width(&self) -> u32 {
         self.width

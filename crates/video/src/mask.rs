@@ -499,6 +499,18 @@ mod tests {
     }
 
     #[test]
+    fn a_digest_collision_is_caught_by_the_pixel_verify() {
+        let a = FrameBuffer::with_digest(16, 16, vec![1; 256], 42);
+        let b = FrameBuffer::with_digest(16, 16, vec![2; 256], 42);
+        assert_eq!(a.digest(), b.digest());
+        let mask = Mask::new();
+        let cm = mask.compile(16, 16);
+        assert!(cm.is_unobstructed());
+        assert!(!MatchTolerance::EXACT.matches(&mask, &a, &b));
+        assert!(!MatchTolerance::EXACT.matches_compiled(&cm, &a, &b));
+    }
+
+    #[test]
     fn matches_compiled_agrees_with_matches() {
         let mask = Mask::status_bar(16, 2);
         let cm = mask.compile(16, 16);
