@@ -10,6 +10,8 @@
 //! work) with fixed, load-driven and plan governors, every capture mode
 //! and three replayers, so any change to the execution loop that moves a
 //! single sample, poll, repaint or frame shows up as a changed line.
+//! Smaller matrices pin an odd quantum, I/O waits without visible updates,
+//! and a dense system tick whose bursts overlap at the slowest OPP.
 //!
 //! Regenerate only after an intentional change to device behaviour with:
 //! `UPDATE_GOLDEN=1 cargo test -p interlag-conformance --test device_golden`.
@@ -125,6 +127,36 @@ fn silent_waits_session() -> Workload {
         script,
         duration: SimDuration::from_secs(13),
     }
+}
+
+/// A builder session under a dense system tick: every 10.4 ms, 3.1 M
+/// cycles — 10.33 ms of work at the slowest OPP, so at that frequency a
+/// tick spawned 10 quanta after the last one lands before its burst has
+/// drained and the two merge, while one 11 quanta after finds the core
+/// idle. Input bursts (taps, typing, a long scroll), scripted background
+/// work and a spinner's render passes collide with the ticks.
+fn tick_stress_session() -> Workload {
+    use InteractionCategory::{Common, Complex, SimpleFrequent};
+    let mut b = WorkloadBuilder::new(23);
+    b.set_tick(Some(PeriodicTick { period: SimDuration::from_micros(10_400), cycles: 3_100_000 }));
+    b.app_launch("launch", 200 * MCYCLES, 3, Common);
+    b.think_ms(500, 900);
+    b.typing_burst("type", 5, 15 * MCYCLES);
+    b.think_ms(400, 800);
+    b.game_session("game", SimDuration::from_millis(1_500), 25 * MCYCLES);
+    b.think_ms(400, 800);
+    b.scroll("scroll", 120 * MCYCLES, SimpleFrequent);
+    b.think_ms(300, 700);
+    b.heavy_with_progress("save", 400 * MCYCLES, Complex);
+    b.think_ms(600, 1_000);
+    b.background_burst("sync", SimDuration::from_millis(300), 150 * MCYCLES);
+    b.recurring_background(
+        "poll",
+        SimDuration::from_millis(1_700),
+        9 * MCYCLES,
+        SimDuration::from_secs(12),
+    );
+    b.build("tick-stress", "dense overlapping ticks")
 }
 
 fn workloads() -> Vec<Workload> {
@@ -273,4 +305,11 @@ fn silent_wait_runs_match_golden_digests() {
     let w = silent_waits_session();
     let lines = workload_lines(&w, &CAPTURES[..2], &["agent"], MS);
     assert_matches_golden("device_runs_silent_waits.txt", &lines);
+}
+
+#[test]
+fn tick_stress_runs_match_golden_digests() {
+    let w = tick_stress_session();
+    let lines = workload_lines(&w, &CAPTURES[..2], &["agent", "faulty"], MS);
+    assert_matches_golden("device_runs_tick_stress.txt", &lines);
 }
