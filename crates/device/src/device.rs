@@ -27,6 +27,15 @@
 //! without reaching the governor, and the frames before the step's last
 //! quantum capture the screen the step started with, which nothing in the
 //! step could change.
+//!
+//! Background work that can only ever show as busy time — no scene update,
+//! no I/O wait ([`crate::task::Task::is_silent`]) — is invisible to the
+//! horizon: while nothing else is queued, its completions and the system
+//! ticks that add to it fall inside a step, which accounts the core's
+//! busy time in closed form as the per-quantum FIFO backlog would have
+//! it. A session's think time, where only the tick runs, then costs one
+//! step per input, decision or decoration change rather than three per
+//! tick.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
@@ -435,6 +444,11 @@ impl Device {
         let mut pending_updates: Vec<(SimTime, crate::scene::SceneUpdate, TaskKind, bool)> =
             Vec::new();
 
+        // --- state: the step's busy time ------------------------------------
+        // The step's busy intervals, `(start, length)` in time order: one
+        // front-loaded burst, unless the step folds in ticks (4e).
+        let mut bursts: Vec<(SimTime, SimDuration)> = Vec::new();
+
         // The first quantum boundary at or after `t`: the iteration in
         // which a check against `t` first passes.
         let q_us = quantum.as_micros();
@@ -563,8 +577,16 @@ impl Device {
             // also cannot finish a phase by then (or the core is idle), all
             // of them are one step. The samples and frame ticks it covers
             // are folded in at the step's end (6, 7a).
+            //
+            // On a silent core — no foreground work, and every queued task
+            // silent ([`Task::is_silent`]) — completions change nothing but
+            // busy time, which the step accounts exactly wherever they
+            // fall. Neither the front task's phase end nor the system tick
+            // bounds such a step: its work may complete inside it (4d),
+            // and the ticks due inside it are folded in as cycles (4e).
             let budget = freq.cycles_in(quantum);
             let decision = governor.next_decision(next_sample_at);
+            let silent = fg.is_empty() && bg.iter().all(Task::is_silent);
             let mut steps = 1;
             // A scene change awaiting its repaint, or a decision due by
             // the end of this quantum, leaves nothing to jump.
@@ -572,7 +594,7 @@ impl Device {
                 let due = [
                     replayer.next_due(),
                     script.background.get(next_bg).map(|b| b.start),
-                    next_tick_at,
+                    next_tick_at.filter(|_| !silent),
                     scene.spinner.then_some(next_render_spawn),
                     parked.iter().map(|(at, _)| *at).min(),
                     // Applied in the quantum that ends at or after `at`.
@@ -584,7 +606,7 @@ impl Device {
                 ];
                 let first = due.into_iter().flatten().fold(until, SimTime::min);
                 steps = boundary(first).saturating_since(now).as_micros() / q_us;
-                if let Some(task) = fg.front().or(bg.front()) {
+                if let Some(task) = fg.front().or(bg.front()).filter(|_| !silent) {
                     steps = steps.min(task.remaining_in_phase().saturating_sub(1) / budget);
                 }
             }
@@ -593,16 +615,17 @@ impl Device {
 
             // 4d. Execute the step's cycle budget. Over several quanta the
             // cap above leaves the front task mid-phase, so the loop makes
-            // one `advance` call and sees no completions.
-            let budget = budget * steps;
+            // one `advance` call and sees no completions — except on a
+            // silent core, whose tasks may all complete.
+            let step_budget = budget * steps;
             let khz = khz_of(freq);
             let mut consumed = 0u64;
-            while consumed < budget {
+            while consumed < step_budget {
                 let from_fg = !fg.is_empty();
                 let queue = if from_fg { &mut fg } else { &mut bg };
                 let Some(task) = queue.front_mut() else { break };
                 let before = consumed;
-                let (c, completions) = task.advance(budget - consumed);
+                let (c, completions) = task.advance(step_budget - consumed);
                 consumed += c;
                 let finished = task.is_finished();
                 let blocked = Task::blocked_after(&completions);
@@ -648,11 +671,55 @@ impl Device {
                     break; // cannot happen, but never spin
                 }
             }
-            let busy = if consumed >= budget {
-                qend - now
-            } else {
-                SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
+
+            // 4e. Busy time. Work queued at the step's start runs back to
+            // back from it, quantum by quantum: whole quanta while it lasts,
+            // then the rest of its cycles at the start of one more. Each
+            // tick due inside a silent step spawns at its quantum boundary
+            // and joins the running burst if that has not drained by then
+            // (the per-quantum FIFO backlog), else starts a burst of its
+            // own. Work still queued at the step's end stays queued as one
+            // silent task; every folded tick is otherwise never spawned. A
+            // clock too slow to run a cycle in a quantum runs nothing, and
+            // its one-quantum step reads busy.
+            let run_time = |cycles: u64| match cycles.checked_div(budget) {
+                Some(whole) => {
+                    quantum * whole + SimDuration::from_micros(cycles % budget * 1_000 / khz)
+                }
+                None => quantum,
             };
+            let quanta = |from: SimTime, to: SimTime| (to - from).as_micros() / q_us;
+            let (mut start, mut cycles) = (now, consumed);
+            bursts.clear();
+            if let (Some(tick), Some(due)) = (script.tick, next_tick_at.as_mut()) {
+                // Outside a silent step the tick bounds the step, so none
+                // is due before its last quantum.
+                while *due <= qend - quantum {
+                    let at = boundary(*due);
+                    if cycles < budget * quanta(start, at) {
+                        bursts.push((start, run_time(cycles)));
+                        (start, cycles) = (at, 0);
+                    }
+                    cycles += tick.cycles;
+                    *due += tick.period;
+                }
+            }
+            let room = budget * quanta(start, qend);
+            bursts.push((start, run_time(cycles.min(room))));
+            if cycles > room {
+                bg.push_back(Task::new(
+                    TaskSpec::single(cycles - room, crate::scene::SceneUpdate::Nop),
+                    TaskKind::Background,
+                ));
+            }
+            // Busy time from `t` to the step's end.
+            let busy_from = |t: SimTime| -> SimDuration {
+                bursts
+                    .iter()
+                    .map(|&(start, len)| (start + len).saturating_since(start.max(t)))
+                    .sum()
+            };
+            let busy = busy_from(now);
             if steps > 1 && !scene.spinner {
                 // Each skipped quantum that reached the spinner-off grid
                 // point moved it one period past its own start.
@@ -671,8 +738,8 @@ impl Device {
             // at or after they are due, so they sit on the quantum grid
             // `stride` apart; the step ends at or before the decision, so
             // only its last sample can be one. The others are counted and
-            // restart the load window, which a step longer than one
-            // quantum keeps either fully busy or idle.
+            // restart the load window, which then holds the step's busy
+            // time after them.
             if qend >= next_sample_at {
                 let stride = governor.sample_period().as_micros().div_ceil(q_us).max(1) * q_us;
                 let first = boundary(next_sample_at);
@@ -681,7 +748,7 @@ impl Device {
                 obs_samples += skipped + 1;
                 if skipped > 0 {
                     last_sample_at = at - SimDuration::from_micros(stride);
-                    busy_acc = busy.saturating_sub(last_sample_at - now);
+                    busy_acc = busy_from(last_sample_at);
                 }
                 if decision.is_some_and(|d| d <= at) {
                     let sample = LoadSample { busy: busy_acc, window: at - last_sample_at };
@@ -689,7 +756,7 @@ impl Device {
                     freq = cfg.opps.quantize_up(governor.on_sample(at, sample, &cfg.opps));
                     obs_transitions += u64::from(freq != before);
                 }
-                busy_acc = busy.saturating_sub(at - now);
+                busy_acc = busy_from(at);
                 last_sample_at = at;
                 next_sample_at = at + governor.sample_period();
             }
@@ -1335,6 +1402,25 @@ mod tests {
         for (x, y) in va.iter().zip(vb.iter()) {
             assert_eq!(x.buf.as_ref(), y.buf.as_ref());
         }
+    }
+
+    #[test]
+    fn a_clock_too_slow_for_one_cycle_per_quantum_runs_nothing() {
+        // 500 kHz runs half a cycle per 1 µs quantum: the cycle budget is
+        // zero, so the core never runs its work, and each step reads busy.
+        let opps = OppTable::new(vec![interlag_power::opp::Opp::new(500, 900)]);
+        let quantum = SimDuration::from_micros(1);
+        let config =
+            DeviceConfig { opps, quantum, capture: CaptureMode::None, ..Default::default() };
+        let mut script = simple_script();
+        script.background[0].start = SimTime::ZERO;
+        let mut gov = FixedGovernor::new(Frequency::from_khz(500));
+        let until = SimTime::from_millis(2);
+        let run = Device::new(config)
+            .run(&script, ReplayAgent::new(script.record_trace()), &mut gov, until)
+            .expect("clean run");
+        assert_eq!(run.end_time, until);
+        assert_eq!(run.activity.busy_time(), until - SimTime::ZERO);
     }
 
     #[test]

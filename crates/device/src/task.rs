@@ -170,6 +170,17 @@ impl Task {
         self.phase_idx >= self.spec.phases().len()
     }
 
+    /// `true` if nothing but busy time can come of running the rest of
+    /// this task: background work whose remaining phases neither update
+    /// the scene nor wait. Such work may complete anywhere in a device
+    /// step, and in any split, without changing what the run shows.
+    pub fn is_silent(&self) -> bool {
+        self.kind == TaskKind::Background
+            && self.spec.phases()[self.phase_idx..]
+                .iter()
+                .all(|p| matches!(p.update, SceneUpdate::Nop) && p.wait.is_zero())
+    }
+
     /// Runs the task for at most `budget` cycles. Returns the cycles
     /// actually consumed and every phase completion that occurred, with
     /// cycle-accurate positions for sub-quantum timestamping.
@@ -283,6 +294,33 @@ mod tests {
         let (c, comps) = t.advance(100);
         assert_eq!(c, 0);
         assert!(comps.is_empty());
+    }
+
+    #[test]
+    fn silent_means_background_work_with_only_quiet_phases_left() {
+        let quiet = TaskSpec::single(10, SceneUpdate::Nop);
+        assert!(Task::new(quiet.clone(), TaskKind::Background).is_silent());
+        assert!(!Task::new(quiet.clone(), TaskKind::Foreground { id: 0 }).is_silent());
+        assert!(!Task::new(quiet, TaskKind::UiRender).is_silent());
+        // A wait or a visible update ahead makes the task heard; once it
+        // has run, only the quiet phases after it count.
+        let waits = TaskSpec::new(vec![
+            Phase::with_wait(10, SimDuration::from_millis(1), SceneUpdate::Nop),
+            Phase::new(10, SceneUpdate::Nop),
+        ]);
+        let mut t = Task::new(waits, TaskKind::Background);
+        assert!(!t.is_silent());
+        t.advance(10);
+        assert!(t.is_silent());
+        let shows = TaskSpec::new(vec![
+            Phase::new(10, SceneUpdate::Nop),
+            Phase::new(10, SceneUpdate::ShowElement(0)),
+        ]);
+        assert!(!Task::new(shows, TaskKind::Background).is_silent());
+        // A finished task has nothing left to say.
+        let mut done = Task::new(TaskSpec::single(10, SceneUpdate::Nop), TaskKind::Background);
+        done.advance(10);
+        assert!(done.is_finished() && done.is_silent());
     }
 
     #[test]

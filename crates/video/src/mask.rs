@@ -128,41 +128,55 @@ impl Mask {
         self.compile(a.width(), a.height()).differs_more_than(a, b, value_tolerance, limit)
     }
 
-    /// Compiles the rectangle list into per-row *included* pixel intervals
-    /// for a `width × height` frame. The naive comparison asks "is this
-    /// pixel inside any excluded rect?" once per pixel — O(rects) in the
-    /// inner loop. The compiled form pays that cost once and then compares
-    /// whole included spans with no per-pixel mask test at all. Compile
-    /// once per annotation and reuse across every frame of every run.
+    /// Compiles the rectangle list into the *included* byte spans of a
+    /// `width × height` frame's row-major pixels. The naive comparison asks
+    /// "is this pixel inside any excluded rect?" once per pixel — O(rects)
+    /// in the inner loop. The compiled form pays that cost once and then
+    /// compares whole included spans with no per-pixel mask test at all; a
+    /// span that ends a row and one that starts the next are one span, so
+    /// an unmasked frame, or a status-bar mask, is a single span. Compile
+    /// once per annotation and frame size and reuse it for every frame
+    /// compared against that annotation (the matcher compiles each once
+    /// per run it marks up).
     pub fn compile(&self, width: u32, height: u32) -> CompiledMask {
-        let mut rows = Vec::with_capacity(height as usize);
+        let mut spans: Vec<(usize, usize)> = Vec::new();
         let mut visible = 0u64;
+        // The excluded x-intervals of the current row, reused across rows.
+        let mut excluded: Vec<(u32, u32)> = Vec::with_capacity(self.excluded.len());
         for y in 0..height {
-            // Clip the rects crossing this row to the frame, then merge.
-            let mut excluded: Vec<(u32, u32)> = self
-                .excluded
-                .iter()
-                .filter(|r| y >= r.y0 && y < r.y1)
-                .map(|r| (r.x0.min(width), r.x1.min(width)))
-                .filter(|(x0, x1)| x0 < x1)
-                .collect();
+            // Clip the rects crossing this row to the frame, then sort.
+            excluded.clear();
+            excluded.extend(
+                self.excluded
+                    .iter()
+                    .filter(|r| y >= r.y0 && y < r.y1)
+                    .map(|r| (r.x0.min(width), r.x1.min(width)))
+                    .filter(|(x0, x1)| x0 < x1),
+            );
             excluded.sort_unstable();
-            // Complement into included spans.
-            let mut included = Vec::new();
+            // Complement into included spans, joined to the previous span
+            // when contiguous with it.
+            let row = y as usize * width as usize;
+            let mut include = |x0: u32, x1: u32| {
+                visible += u64::from(x1 - x0);
+                let (start, end) = (row + x0 as usize, row + x1 as usize);
+                match spans.last_mut() {
+                    Some(last) if last.1 == start => last.1 = end,
+                    _ => spans.push((start, end)),
+                }
+            };
             let mut cursor = 0u32;
-            for (x0, x1) in excluded {
+            for &(x0, x1) in &excluded {
                 if x0 > cursor {
-                    included.push((cursor, x0));
+                    include(cursor, x0);
                 }
                 cursor = cursor.max(x1);
             }
             if cursor < width {
-                included.push((cursor, width));
+                include(cursor, width);
             }
-            visible += included.iter().map(|&(x0, x1)| (x1 - x0) as u64).sum::<u64>();
-            rows.push(included);
         }
-        CompiledMask { width, height, rows, visible }
+        CompiledMask { width, height, spans, visible }
     }
 
     /// Pixel count left visible by the mask for a `width × height` frame.
@@ -194,15 +208,16 @@ impl FromIterator<Rect> for Mask {
     }
 }
 
-/// A [`Mask`] compiled for one frame size: per-row lists of *included*
-/// `[x0, x1)` pixel intervals (see [`Mask::compile`]). Comparison walks
-/// the included spans directly, so the per-pixel work is identical to an
-/// unmasked compare regardless of how many rectangles the mask holds.
+/// A [`Mask`] compiled for one frame size: the *included* `[start, end)`
+/// byte spans of the row-major pixels, in order and maximal (see
+/// [`Mask::compile`]). Comparison walks the included spans directly, so
+/// the per-pixel work is identical to an unmasked compare regardless of
+/// how many rectangles the mask holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledMask {
     width: u32,
     height: u32,
-    rows: Vec<Vec<(u32, u32)>>,
+    spans: Vec<(usize, usize)>,
     visible: u64,
 }
 
@@ -252,15 +267,10 @@ impl CompiledMask {
     pub fn count_diff(&self, a: &FrameBuffer, b: &FrameBuffer, value_tolerance: u8) -> u64 {
         self.check_dims(a, b);
         let (a, b) = (a.pixels(), b.pixels());
-        let mut count = 0u64;
-        for (y, spans) in self.rows.iter().enumerate() {
-            let row = y * self.width as usize;
-            for &(x0, x1) in spans {
-                let (s, e) = (row + x0 as usize, row + x1 as usize);
-                count += kernel::count_over(&a[s..e], &b[s..e], value_tolerance);
-            }
-        }
-        count
+        self.spans
+            .iter()
+            .map(|&(s, e)| kernel::count_over(&a[s..e], &b[s..e], value_tolerance))
+            .sum()
     }
 
     /// Early-exit form of [`CompiledMask::count_diff`]: `true` as soon as
@@ -281,29 +291,15 @@ impl CompiledMask {
         let (a, b) = (a.pixels(), b.pixels());
         if value_tolerance == 0 && limit == 0 {
             // Bit-exact with zero budget: one memcmp per included span.
-            for (y, spans) in self.rows.iter().enumerate() {
-                let row = y * self.width as usize;
-                for &(x0, x1) in spans {
-                    let (s, e) = (row + x0 as usize, row + x1 as usize);
-                    if a[s..e] != b[s..e] {
-                        return true;
-                    }
-                }
-            }
-            return false;
+            return self.spans.iter().any(|&(s, e)| a[s..e] != b[s..e]);
         }
+        // The count only grows, so stopping at the first span that passes
+        // the limit gives the verdict of the full count.
         let mut over = 0u64;
-        for (y, spans) in self.rows.iter().enumerate() {
-            let row = y * self.width as usize;
-            for &(x0, x1) in spans {
-                let (s, e) = (row + x0 as usize, row + x1 as usize);
-                over += kernel::count_over(&a[s..e], &b[s..e], value_tolerance);
-                if over > limit {
-                    return true;
-                }
-            }
-        }
-        false
+        self.spans.iter().any(|&(s, e)| {
+            over += kernel::count_over(&a[s..e], &b[s..e], value_tolerance);
+            over > limit
+        })
     }
 }
 
@@ -468,6 +464,19 @@ mod tests {
                 assert_eq!(mask.differs_more_than(&a, &b, tol, limit), naive > limit);
             }
         }
+    }
+
+    #[test]
+    fn compiled_spans_join_across_rows() {
+        // Unmasked and status-bar frames are one span each.
+        assert_eq!(Mask::new().compile(16, 12).spans, [(0, 192)]);
+        assert_eq!(Mask::status_bar(16, 2).compile(16, 12).spans, [(32, 192)]);
+        // A left-edge strip over rows 2..4 joins each row's tail to the
+        // next row's head; a right-edge strip ends a span at each row end.
+        let left = Mask::new().with_excluded(Rect::new(0, 2, 3, 2));
+        assert_eq!(left.compile(16, 6).spans, [(0, 32), (35, 48), (51, 96)]);
+        let right = Mask::new().with_excluded(Rect::new(13, 0, 3, 2));
+        assert_eq!(right.compile(16, 3).spans, [(0, 13), (16, 29), (32, 48)]);
     }
 
     #[test]
