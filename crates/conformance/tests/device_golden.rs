@@ -11,7 +11,9 @@
 //! and three replayers, so any change to the execution loop that moves a
 //! single sample, poll, repaint or frame shows up as a changed line.
 //! Smaller matrices pin an odd quantum, I/O waits without visible updates,
-//! and a dense system tick whose bursts overlap at the slowest OPP.
+//! a dense system tick whose bursts overlap at the slowest OPP, and two
+//! small scripts that a one-quantum-per-iteration engine once reproduced
+//! bit for bit.
 //!
 //! Regenerate only after an intentional change to device behaviour with:
 //! `UPDATE_GOLDEN=1 cargo test -p interlag-conformance --test device_golden`.
@@ -159,6 +161,64 @@ fn tick_stress_session() -> Workload {
     b.build("tick-stress", "dense overlapping ticks")
 }
 
+/// One tap servicing a single response task.
+fn one_tap(label: &str, cycles: u64, scene: u64, category: InteractionCategory) -> InteractionSpec {
+    InteractionSpec {
+        label: label.into(),
+        start: SimTime::from_millis(500),
+        gesture: Gesture::tap(Point::new(20, 30)),
+        widget: Some(Rect::new(10, 20, 30, 30)),
+        response: Some(TaskSpec::single(cycles, SceneUpdate::replace(Scene::new(scene)))),
+        category,
+    }
+}
+
+/// The two scripts on which a per-quantum engine once matched [`Device`]
+/// bit for bit, each with the governor and horizon of that comparison:
+/// two taps, scripted background work and the default tick under a fixed
+/// 960 MHz, and a single 120 M-cycle tap under interactive.
+fn identity_scenarios(table: &OppTable) -> Vec<(Workload, Box<dyn Governor>, SimTime)> {
+    use InteractionCategory::{Common, SimpleFrequent};
+    let scenario = |name: &str, script: DeviceScript, secs: u64| Workload {
+        name: name.into(),
+        description: "per-quantum identity scenario".into(),
+        script,
+        duration: SimDuration::from_secs(secs),
+    };
+    let simple = DeviceScript {
+        interactions: vec![
+            one_tap("open app", 60_000_000, 99, SimpleFrequent),
+            InteractionSpec {
+                start: SimTime::from_millis(2_000),
+                ..one_tap("tap more", 30_000_000, 44, SimpleFrequent)
+            },
+        ],
+        background: vec![BackgroundWork {
+            label: "sync".into(),
+            start: SimTime::from_millis(3_000),
+            cycles: 3_000_000,
+        }],
+        tick: Some(PeriodicTick::default()),
+    };
+    let probe = DeviceScript {
+        interactions: vec![one_tap("probe", 120_000_000, 3, Common)],
+        background: Vec::new(),
+        tick: None,
+    };
+    vec![
+        (
+            scenario("simple-script", simple, 5),
+            Box::new(FixedGovernor::new(Frequency::from_mhz(960))),
+            SimTime::from_secs(5),
+        ),
+        (
+            scenario("one-tap", probe, 4),
+            Box::new(Interactive::for_table(table)),
+            SimTime::from_secs(4),
+        ),
+    ]
+}
+
 fn workloads() -> Vec<Workload> {
     vec![Dataset::Mini.build(), builder_session(11), builder_session(12)]
 }
@@ -196,12 +256,12 @@ fn run(
     capture: CaptureMode,
     replayer: &str,
     quantum: SimDuration,
+    until: SimTime,
 ) -> (RunArtifacts, String) {
     let obs = interlag_obs::Recorder::enabled();
     let config = DeviceConfig { capture, quantum, obs: obs.clone(), ..DeviceConfig::default() };
     let device = Device::new(config);
     let trace = w.script.record_trace();
-    let until = w.run_until();
     let run = match replayer {
         "agent" => device.run(&w.script, ReplayAgent::new(trace), gov, until),
         "sendevent" => device.run(&w.script, SendeventReplayer::new(trace), gov, until),
@@ -248,6 +308,18 @@ fn digest(run: &RunArtifacts, counters: &str) -> u64 {
     h.0
 }
 
+fn line(w: &Workload, run: &RunArtifacts, counters: &str, cname: &str, rname: &str) -> String {
+    format!(
+        "{} {} {cname} {rname} end_us={} samples={} frames={} digest={:016x}\n",
+        w.name,
+        run.governor_name,
+        run.end_time.as_micros(),
+        run.activity.samples().len(),
+        run.video.as_ref().map_or(0, |v| v.len()),
+        digest(run, counters),
+    )
+}
+
 fn workload_lines(
     w: &Workload,
     captures: &[(&str, CaptureMode)],
@@ -260,17 +332,8 @@ fn workload_lines(
         for &(cname, capture) in captures {
             for &rname in replayers {
                 let mut gov = governors(&table).swap_remove(gi);
-                let (run, counters) = run(w, gov.as_mut(), capture, rname, quantum);
-                let frames = run.video.as_ref().map_or(0, |v| v.len());
-                lines.push_str(&format!(
-                    "{} {} {cname} {rname} end_us={} samples={} frames={} digest={:016x}\n",
-                    w.name,
-                    run.governor_name,
-                    run.end_time.as_micros(),
-                    run.activity.samples().len(),
-                    frames,
-                    digest(&run, &counters),
-                ));
+                let (run, counters) = run(w, gov.as_mut(), capture, rname, quantum, w.run_until());
+                lines.push_str(&line(w, &run, &counters, cname, rname));
             }
         }
     }
@@ -312,4 +375,15 @@ fn tick_stress_runs_match_golden_digests() {
     let w = tick_stress_session();
     let lines = workload_lines(&w, &CAPTURES[..2], &["agent", "faulty"], MS);
     assert_matches_golden("device_runs_tick_stress.txt", &lines);
+}
+
+#[test]
+fn identity_scenario_runs_match_golden_digests() {
+    let table = OppTable::snapdragon_8074();
+    let mut lines = String::new();
+    for (w, mut gov, until) in identity_scenarios(&table) {
+        let (run, counters) = run(&w, gov.as_mut(), CaptureMode::None, "agent", MS, until);
+        lines.push_str(&line(&w, &run, &counters, "none", "agent"));
+    }
+    assert_matches_golden("device_runs_identity.txt", &lines);
 }
