@@ -3,10 +3,9 @@
 //! 2700× faster than manual annotation, the device simulation rate, and
 //! the governor decision costs.
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use interlag_bench::synthetic_video;
 use interlag_core::matcher::Matcher;
 use interlag_core::suggester::{Suggester, SuggesterConfig};
 use interlag_device::device::{CaptureMode, Device, DeviceConfig};
@@ -21,26 +20,8 @@ use interlag_power::model::PowerModel;
 use interlag_power::opp::OppTable;
 use interlag_video::frame::FrameBuffer;
 use interlag_video::mask::{Mask, MatchTolerance};
-use interlag_video::stream::{VideoStream, FRAME_PERIOD_30FPS};
+use interlag_video::stream::VideoStream;
 use interlag_workloads::gen::{WorkloadBuilder, MCYCLES};
-
-fn synthetic_video(frames: u32, change_every: u32) -> VideoStream {
-    let mut v = VideoStream::new(FRAME_PERIOD_30FPS);
-    let mut current = {
-        let mut f = FrameBuffer::new(72, 120);
-        f.hash_paint(f.bounds(), 1);
-        Arc::new(f)
-    };
-    for i in 0..frames {
-        if i % change_every == 0 && i > 0 {
-            let mut f = FrameBuffer::new(72, 120);
-            f.hash_paint(f.bounds(), i as u64);
-            current = Arc::new(f);
-        }
-        v.push(SimTime::from_micros(i as u64 * 33_333), current.clone()).unwrap();
-    }
-    v
-}
 
 fn bench_suggester(c: &mut Criterion) {
     let video = synthetic_video(600, 40);

@@ -14,7 +14,12 @@
 //! * `INTERLAG_DATASETS` — comma-separated subset (e.g. `01,02`) for the
 //!   multi-dataset figures.
 
+use std::sync::Arc;
+
 use interlag_core::experiment::{Lab, LabConfig, StudyResult};
+use interlag_evdev::time::SimTime;
+use interlag_video::frame::FrameBuffer;
+use interlag_video::stream::{VideoStream, FRAME_PERIOD_30FPS};
 use interlag_workloads::datasets::Dataset;
 use interlag_workloads::gen::Workload;
 
@@ -54,6 +59,22 @@ pub fn run_study(dataset: Dataset, reps: u32) -> (Workload, StudyResult) {
         started.elapsed().as_secs_f64()
     );
     (workload, study)
+}
+
+/// A 30 fps stream of `frames` 72×120 frames whose screen changes every
+/// `change_every` frames; equal frames share one buffer, as in a capture.
+pub fn synthetic_video(frames: u32, change_every: u32) -> VideoStream {
+    let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
+    let mut current = Arc::new(FrameBuffer::new(72, 120));
+    for i in 0..frames {
+        if i % change_every == 0 {
+            let mut f = FrameBuffer::new(72, 120);
+            f.hash_paint(f.bounds(), u64::from(i.max(1)));
+            current = Arc::new(f);
+        }
+        video.push(SimTime::from_micros(u64::from(i) * 33_333), current.clone()).unwrap();
+    }
+    video
 }
 
 /// Prints a horizontal rule sized for `width` columns of table output.

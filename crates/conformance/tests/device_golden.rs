@@ -161,58 +161,44 @@ fn tick_stress_session() -> Workload {
     b.build("tick-stress", "dense overlapping ticks")
 }
 
-/// One tap servicing a single response task.
-fn one_tap(label: &str, cycles: u64, scene: u64, category: InteractionCategory) -> InteractionSpec {
-    InteractionSpec {
-        label: label.into(),
-        start: SimTime::from_millis(500),
-        gesture: Gesture::tap(Point::new(20, 30)),
-        widget: Some(Rect::new(10, 20, 30, 30)),
-        response: Some(TaskSpec::single(cycles, SceneUpdate::replace(Scene::new(scene)))),
-        category,
-    }
-}
-
 /// The two scripts on which a per-quantum engine once matched [`Device`]
 /// bit for bit, each with the governor and horizon of that comparison:
 /// two taps, scripted background work and the default tick under a fixed
 /// 960 MHz, and a single 120 M-cycle tap under interactive.
 fn identity_scenarios(table: &OppTable) -> Vec<(Workload, Box<dyn Governor>, SimTime)> {
     use InteractionCategory::{Common, SimpleFrequent};
-    let scenario = |name: &str, script: DeviceScript, secs: u64| Workload {
+    let tap = |label: &str, ms, cycles, scene, category| InteractionSpec {
+        label: label.into(),
+        start: SimTime::from_millis(ms),
+        gesture: Gesture::tap(Point::new(20, 30)),
+        widget: Some(Rect::new(10, 20, 30, 30)),
+        response: Some(TaskSpec::single(cycles, SceneUpdate::replace(Scene::new(scene)))),
+        category,
+    };
+    let workload = |name: &str, interactions, background, tick| Workload {
         name: name.into(),
         description: "per-quantum identity scenario".into(),
-        script,
-        duration: SimDuration::from_secs(secs),
+        script: DeviceScript { interactions, background, tick },
+        duration: SimDuration::ZERO,
     };
-    let simple = DeviceScript {
-        interactions: vec![
-            one_tap("open app", 60_000_000, 99, SimpleFrequent),
-            InteractionSpec {
-                start: SimTime::from_millis(2_000),
-                ..one_tap("tap more", 30_000_000, 44, SimpleFrequent)
-            },
-        ],
-        background: vec![BackgroundWork {
-            label: "sync".into(),
-            start: SimTime::from_millis(3_000),
-            cycles: 3_000_000,
-        }],
-        tick: Some(PeriodicTick::default()),
+    let sync = BackgroundWork {
+        label: "sync".into(),
+        start: SimTime::from_millis(3_000),
+        cycles: 3_000_000,
     };
-    let probe = DeviceScript {
-        interactions: vec![one_tap("probe", 120_000_000, 3, Common)],
-        background: Vec::new(),
-        tick: None,
-    };
+    let simple = vec![
+        tap("open app", 500, 60_000_000, 99, SimpleFrequent),
+        tap("tap more", 2_000, 30_000_000, 44, SimpleFrequent),
+    ];
+    let probe = vec![tap("probe", 500, 120_000_000, 3, Common)];
     vec![
         (
-            scenario("simple-script", simple, 5),
+            workload("simple-script", simple, vec![sync], Some(PeriodicTick::default())),
             Box::new(FixedGovernor::new(Frequency::from_mhz(960))),
             SimTime::from_secs(5),
         ),
         (
-            scenario("one-tap", probe, 4),
+            workload("one-tap", probe, Vec::new(), None),
             Box::new(Interactive::for_table(table)),
             SimTime::from_secs(4),
         ),

@@ -764,7 +764,8 @@ impl Lab {
     /// and returns their results in job order. Every job is a pure
     /// function of its index, so the output is identical for any worker
     /// count; with one worker (or one job) the jobs simply run inline.
-    fn run_matrix<T, F>(&self, count: usize, job: F) -> Vec<T>
+    /// `interlag tune` runs its measurement slots on this pool too.
+    pub fn run_matrix<T, F>(&self, count: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,

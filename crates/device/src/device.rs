@@ -60,12 +60,11 @@ use crate::scene::Scene;
 use crate::script::{DeviceScript, InteractionCategory};
 use crate::task::{Task, TaskKind, TaskSpec};
 
-/// How many loop iterations run between watchdog polls. A
-/// [`crate::cluster::ClusterDevice`] iteration is one quantum. A [`Device`]
-/// iteration may jump over many quanta, so its polls count iterations, not
-/// quanta (a quantum count advancing in jumps can step over multiples of
-/// the stride for long stretches); each iteration does a bounded amount of work however
-/// far it jumps, so either way a fired token stops the run within 64
+/// How many loop iterations run between watchdog polls. A [`Device`]
+/// iteration may jump over many quanta, so polls count iterations, not
+/// quanta: a quantum count advancing in jumps can step over multiples of
+/// the stride for long stretches. Each iteration does a bounded amount of
+/// work however far it jumps, so a fired token stops the run within 64
 /// iterations' wall time. Polling every iteration would cost a clock read
 /// per iteration under a deadline token, which the study's default
 /// watchdog is.
@@ -854,9 +853,8 @@ impl Device {
 
     /// Extracts interaction triggers (finger-down, hardware-key-down) from
     /// one raw event. Malformed multitouch events are counted into
-    /// `faults` and otherwise tolerated. Shared with the cluster device,
-    /// whose input path must byte-match this one.
-    pub(crate) fn triggers(
+    /// `faults` and otherwise tolerated.
+    fn triggers(
         decoder: &mut MtDecoder,
         te: &TimedEvent,
         faults: &mut usize,
@@ -884,9 +882,8 @@ impl Device {
         out
     }
 
-    /// Routes one trigger to the next scripted interaction. Shared with
-    /// the cluster device, which passes the pinned cluster's queue.
-    pub(crate) fn dispatch(
+    /// Routes one trigger to the next scripted interaction.
+    fn dispatch(
         script: &DeviceScript,
         interactions: &mut [InteractionRecord],
         next_interaction: &mut usize,

@@ -6,7 +6,6 @@
 //! replayed input events into compute tasks, a renderer producing the
 //! screen contents, and capture/trace taps for the analysis pipeline.
 //!
-//! * [`cluster`] — the heterogeneous big.LITTLE extension of the loop;
 //! * [`scene`] — what the screen shows (elements, cursor, spinner);
 //! * [`render`] — scenes + decorations (clock, blink, spinner) to pixels;
 //! * [`task`] — phased compute work whose service time scales with DVFS;
@@ -64,7 +63,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cluster;
 pub mod device;
 pub mod dvfs;
 pub mod error;
@@ -73,10 +71,6 @@ pub mod scene;
 pub mod script;
 pub mod task;
 
-pub use cluster::{
-    ClusterDevice, ClusterDeviceConfig, ClusterRunArtifacts, ClusterSpec, ClusterTopology,
-    MigrationModel,
-};
 pub use device::{CaptureMode, Device, DeviceConfig, InteractionRecord, RunArtifacts};
 pub use dvfs::{FixedGovernor, Governor, LoadSample};
 pub use error::DeviceError;

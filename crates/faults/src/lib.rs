@@ -13,8 +13,6 @@
 //! * [`PowerFaults::perturb`] — meter dropouts and spikes on the
 //!   activity trace;
 //! * [`FaultyGovernor`] — rejected OPP writes;
-//! * [`ThermalEnvelope`] — the deterministic (RNG-free) thermal pressure
-//!   family: sustained high-OPP residency caps a cluster's ceiling;
 //! * [`transport`] — dropped/duplicated/truncated/delayed frames on the
 //!   sharded-sweep agent↔supervisor link, plus scheduled agent sabotage
 //!   (crash/wedge on the nth checkpoint, SIGKILL after the nth record);
@@ -48,7 +46,6 @@ pub mod dvfs;
 pub mod net;
 pub mod power;
 pub mod replay;
-pub mod thermal;
 pub mod transport;
 
 pub use capture::{CaptureFaultLog, FaultyCapture};
@@ -59,5 +56,4 @@ pub use dvfs::{FaultyGovernor, WedgedGovernor};
 pub use net::{ChaosProxy, NetFaultCounts, NetFaults};
 pub use power::PowerFaultLog;
 pub use replay::{FaultyReplayer, ReplayFaultLog};
-pub use thermal::{ThermalEnvelope, ThermalFaults};
 pub use transport::{AgentSabotage, FrameFate, FrameMangler, SabotageKind, TransportFaults};

@@ -20,14 +20,11 @@
 //! arithmetic on sketch sums (`a.sum × b.count` vs `b.sum × a.count` in
 //! `u128`), so the frontier never depends on float rounding.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use interlag_core::error::InterlagError;
-use interlag_core::experiment::Lab;
+use interlag_core::experiment::{Lab, LabConfig};
 use interlag_core::propgroup::{PropError, PropPoint};
 use interlag_core::tune::{
-    measure_tune_point, parse_tune_group, tune_reference, GovernorSpec, TuneMeasurement,
+    measure_tune_point, parse_tune_group, tune_reference, GovernorSpec, TuneGrid, TuneMeasurement,
     TuneReference,
 };
 use interlag_db::{Sketch, ENERGY_BUCKET_UJ, IRRITATION_BUCKET_US, LAG_BUCKET_US};
@@ -187,18 +184,18 @@ pub fn pareto_frontier(points: &[TunePointSummary]) -> Vec<usize> {
 ///
 /// The slot grid is `points × reps`; slot `point × reps + rep` belongs
 /// to shard `slot % shards` (the study sweep's round-robin rule), each
-/// shard's slots are claimed from a shared counter by `workers`
-/// threads, and shard partials are folded in slot order. None of that
-/// shapes the result: every slot is deterministic and folding is
-/// commutative, so any `(workers, shards)` produces the same outcome
-/// byte for byte.
+/// shard's slots run on the study's worker pool ([`Lab::run_matrix`],
+/// `workers` threads), and shard partials are folded in slot order.
+/// None of that shapes the result: every slot is deterministic and
+/// folding is commutative, so any `(workers, shards)` produces the same
+/// outcome byte for byte.
 ///
 /// # Errors
 ///
 /// [`TuneError::Prop`] for a rejected group, [`TuneError::Run`] if any
 /// measurement fails.
 pub fn run_tune(workload: &Workload, config: &TuneConfig) -> Result<TuneOutcome, TuneError> {
-    let lab = Lab::with_defaults();
+    let lab = Lab::new(LabConfig { workers: config.workers, ..LabConfig::default() });
     let table = lab.device().config().opps.clone();
     let grid = parse_tune_group(&config.group, &table)?;
     let reference = tune_reference(&lab, workload)?;
@@ -215,8 +212,7 @@ pub fn run_tune(workload: &Workload, config: &TuneConfig) -> Result<TuneOutcome,
     // (mirroring separate agent processes), then folds in slot order.
     for shard in 0..shards {
         let owned: Vec<usize> = (0..slots).filter(|s| (*s as u32) % shards == shard).collect();
-        let measured =
-            measure_slots(&lab, workload, &grid.points, &reference, &owned, &grid, config)?;
+        let measured = measure_slots(&lab, workload, &reference, &owned, &grid)?;
         for (slot, m) in owned.iter().zip(measured.iter()) {
             summaries[slot / grid.reps as usize].fold(m);
         }
@@ -234,54 +230,24 @@ pub fn run_tune(workload: &Workload, config: &TuneConfig) -> Result<TuneOutcome,
     })
 }
 
-/// Measures one shard's slot list over the worker pool, returning
+/// Measures one shard's slot list over the lab's worker pool, returning
 /// measurements parallel to `owned`.
 fn measure_slots(
     lab: &Lab,
     workload: &Workload,
-    points: &[(PropPoint, GovernorSpec)],
     reference: &TuneReference,
     owned: &[usize],
-    grid: &interlag_core::tune::TuneGrid,
-    config: &TuneConfig,
+    grid: &TuneGrid,
 ) -> Result<Vec<TuneMeasurement>, TuneError> {
     let reps = grid.reps as usize;
-    let jitter = grid.jitter_us;
-    let measure = |slot: usize| -> Result<TuneMeasurement, InterlagError> {
-        let (point, rep) = (slot / reps, (slot % reps) as u32);
-        let spec = &points[point].1;
-        measure_tune_point(lab, workload, reference, spec, rep, jitter)
-    };
-    let workers = config.workers.max(1).min(owned.len().max(1));
-    if workers == 1 {
-        return owned.iter().map(|&s| measure(s).map_err(TuneError::Run)).collect();
-    }
-    // The study's shared-counter work queue: workers claim the next
-    // unclaimed slot until none remain; per-slot result cells avoid any
-    // contention while a measurement runs.
-    let next = AtomicUsize::new(0);
-    let cells: Vec<Mutex<Option<Result<TuneMeasurement, InterlagError>>>> =
-        owned.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        let (next, cells, measure) = (&next, &cells, &measure);
-        for _ in 0..workers {
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&slot) = owned.get(i) else { break };
-                let out = measure(slot);
-                *cells[i].lock().expect("cell lock") = Some(out);
-            });
-        }
-    });
-    cells
-        .into_iter()
-        .map(|c| {
-            c.into_inner()
-                .expect("cell lock")
-                .expect("every slot was claimed")
-                .map_err(TuneError::Run)
-        })
-        .collect()
+    lab.run_matrix(owned.len(), |i| {
+        let (point, rep) = (owned[i] / reps, (owned[i] % reps) as u32);
+        let spec = &grid.points[point].1;
+        measure_tune_point(lab, workload, reference, spec, rep, grid.jitter_us)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()
+    .map_err(TuneError::Run)
 }
 
 /// Fixed-precision float rendering shared by both exporters: enough

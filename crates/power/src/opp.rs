@@ -151,22 +151,6 @@ impl OppTable {
         ])
     }
 
-    /// An 8-point Cortex-A7-class LITTLE-cluster table, 0.30–1.19 GHz,
-    /// for the heterogeneous big.LITTLE topology: the low half of the
-    /// Snapdragon curve at efficiency-core voltages.
-    pub fn cortex_a7_little() -> Self {
-        OppTable::new(vec![
-            Opp::new(300_000, 775),
-            Opp::new(422_400, 780),
-            Opp::new(652_800, 790),
-            Opp::new(729_600, 795),
-            Opp::new(883_200, 800),
-            Opp::new(960_000, 805),
-            Opp::new(1_036_800, 815),
-            Opp::new(1_190_400, 830),
-        ])
-    }
-
     /// Number of operating points.
     pub fn len(&self) -> usize {
         self.opps.len()

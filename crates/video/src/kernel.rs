@@ -25,7 +25,7 @@
 //! The pre-kernel per-pixel implementation is kept verbatim in
 //! [`reference`](mod@reference); property tests (`tests/kernel_equivalence.rs`) pin the
 //! kernels to it over random frames, tolerances and slice lengths, and
-//! the `perf_trajectory` bench reports the speedup per PR.
+//! `interlag-bench`'s `perf_ratios` test checks the kernels beat it.
 
 /// High (sign) bit of every byte lane.
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -268,7 +268,7 @@ mod sse2 {
 
 /// The per-pixel implementations the kernels replaced, kept verbatim as
 /// the ground truth for equivalence tests and the baseline the
-/// `perf_trajectory` bench measures speedups against.
+/// `perf_ratios` test times the kernels against.
 pub mod reference {
     /// Per-pixel [`count_over`](super::count_over): the PR-1 scalar diff.
     ///
