@@ -161,48 +161,43 @@ fn tick_stress_session() -> Workload {
     b.build("tick-stress", "dense overlapping ticks")
 }
 
-/// The two scripts on which a per-quantum engine once matched [`Device`]
-/// bit for bit, each with the governor and horizon of that comparison:
-/// two taps, scripted background work and the default tick under a fixed
-/// 960 MHz, and a single 120 M-cycle tap under interactive.
-fn identity_scenarios(table: &OppTable) -> Vec<(Workload, Box<dyn Governor>, SimTime)> {
-    use InteractionCategory::{Common, SimpleFrequent};
-    let tap = |label: &str, ms, cycles, scene, category| InteractionSpec {
+/// A tap of `cycles` on a widget at `ms`, as in the scripts on which a
+/// per-quantum engine once matched [`Device`] bit for bit.
+fn identity_tap(
+    label: &str,
+    ms: u64,
+    cycles: u64,
+    scene: u64,
+    category: InteractionCategory,
+) -> InteractionSpec {
+    InteractionSpec {
         label: label.into(),
         start: SimTime::from_millis(ms),
         gesture: Gesture::tap(Point::new(20, 30)),
         widget: Some(Rect::new(10, 20, 30, 30)),
         response: Some(TaskSpec::single(cycles, SceneUpdate::replace(Scene::new(scene)))),
         category,
-    };
-    let workload = |name: &str, interactions, background, tick| Workload {
+    }
+}
+
+fn identity_workload(
+    name: &str,
+    interactions: Vec<InteractionSpec>,
+    background: Vec<BackgroundWork>,
+    tick: Option<PeriodicTick>,
+) -> Workload {
+    Workload {
         name: name.into(),
         description: "per-quantum identity scenario".into(),
         script: DeviceScript { interactions, background, tick },
         duration: SimDuration::ZERO,
-    };
-    let sync = BackgroundWork {
-        label: "sync".into(),
-        start: SimTime::from_millis(3_000),
-        cycles: 3_000_000,
-    };
-    let simple = vec![
-        tap("open app", 500, 60_000_000, 99, SimpleFrequent),
-        tap("tap more", 2_000, 30_000_000, 44, SimpleFrequent),
-    ];
-    let probe = vec![tap("probe", 500, 120_000_000, 3, Common)];
-    vec![
-        (
-            workload("simple-script", simple, vec![sync], Some(PeriodicTick::default())),
-            Box::new(FixedGovernor::new(Frequency::from_mhz(960))),
-            SimTime::from_secs(5),
-        ),
-        (
-            workload("one-tap", probe, Vec::new(), None),
-            Box::new(Interactive::for_table(table)),
-            SimTime::from_secs(4),
-        ),
-    ]
+    }
+}
+
+/// Pins one identity scenario's run: capture none, agent replayer.
+fn assert_identity_run(golden: &str, w: &Workload, gov: &mut dyn Governor, until: SimTime) {
+    let (run, counters) = run(w, gov, CaptureMode::None, "agent", MS, until);
+    assert_matches_golden(golden, &line(w, &run, &counters, "none", "agent"));
 }
 
 fn workloads() -> Vec<Workload> {
@@ -363,13 +358,33 @@ fn tick_stress_runs_match_golden_digests() {
     assert_matches_golden("device_runs_tick_stress.txt", &lines);
 }
 
+/// Two taps, scripted background work and the default tick under a fixed
+/// 960 MHz for 5 s: the script on which the single-cluster engine once
+/// matched [`Device`] bit for bit.
 #[test]
-fn identity_scenario_runs_match_golden_digests() {
-    let table = OppTable::snapdragon_8074();
-    let mut lines = String::new();
-    for (w, mut gov, until) in identity_scenarios(&table) {
-        let (run, counters) = run(&w, gov.as_mut(), CaptureMode::None, "agent", MS, until);
-        lines.push_str(&line(&w, &run, &counters, "none", "agent"));
-    }
-    assert_matches_golden("device_runs_identity.txt", &lines);
+fn simple_script_identity_run_matches_golden_digest() {
+    use InteractionCategory::SimpleFrequent;
+    let sync = BackgroundWork {
+        label: "sync".into(),
+        start: SimTime::from_millis(3_000),
+        cycles: 3_000_000,
+    };
+    let taps = vec![
+        identity_tap("open app", 500, 60_000_000, 99, SimpleFrequent),
+        identity_tap("tap more", 2_000, 30_000_000, 44, SimpleFrequent),
+    ];
+    let w = identity_workload("simple-script", taps, vec![sync], Some(PeriodicTick::default()));
+    let mut gov = FixedGovernor::new(Frequency::from_mhz(960));
+    assert_identity_run("device_runs_identity_simple.txt", &w, &mut gov, SimTime::from_secs(5));
+}
+
+/// A single 120 M-cycle tap under interactive for 4 s: the script on which
+/// the single-cluster engine behind a quiescent thermal envelope once
+/// matched [`Device`] bit for bit.
+#[test]
+fn one_tap_identity_run_matches_golden_digest() {
+    let probe = vec![identity_tap("probe", 500, 120_000_000, 3, InteractionCategory::Common)];
+    let w = identity_workload("one-tap", probe, Vec::new(), None);
+    let mut gov = Interactive::for_table(&OppTable::snapdragon_8074());
+    assert_identity_run("device_runs_identity_one_tap.txt", &w, &mut gov, SimTime::from_secs(4));
 }
